@@ -3,17 +3,20 @@
 //!
 //! * `ilp-dct` — the paper's DCT graph, with the exact ILP pinned at each
 //!   bound N₀…N₀+3 (the shards `portfolio` races).
-//! * `scale-refine` — `dfg::gen::scaled` graphs on the scale-suite board:
-//!   1k nodes under `multilevel`, 500 nodes under `memlist+kl`.
+//! * `scale-refine` — pinned `dfg::gen::scaled` graphs on a cut-down
+//!   scale-suite board, each under `multilevel` and under `memlist+kl`.
 //!
 //! One op is one graph text through parse → analyze → statement key →
-//! partition → audit → fission → fission audit, each call in its own span.
+//! partition (which includes the program's own certification audit) →
+//! fission, each call in its own span. The bench's checks, its own
+//! `audit_design` and `audit_fission` calls among them, run after the pass
+//! is timed.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sparcs::audit::audit_fission;
+use sparcs::audit::{audit_design, audit_fission};
+use sparcs::core::fission::FissionAnalysis;
 use sparcs::core::list::partition_list_memory_aware;
 use sparcs::core::partitioning::MemoryMode;
 use sparcs::core::search::SearchCtx;
@@ -27,10 +30,10 @@ use sparcs::flow::{
     PartitionStrategy,
 };
 use sparcs::jpeg::{dct_task_graph, EstimateBackend};
-use sparcs::multilevel::{coarsen, partition_multilevel, CoarsenConfig};
+use sparcs::multilevel::{coarsen, partition_multilevel, CoarsenConfig, MultilevelOutcome};
 use sparcs::strategy::{parse_spec, MultilevelStrategy};
 
-use crate::trace::{nanos, Trace};
+use crate::trace::Trace;
 use crate::{another_pass, measure, median, set_up, span_ms, Args, Pass, Report};
 
 /// The workload `I` the modelled execution time is evaluated at: the
@@ -73,11 +76,16 @@ const ILP_METRICS: [[&str; 5]; ILP_BOUNDS as usize] = [
     ],
 ];
 
-/// Generator seed of the pinned scale-refine corpus (the seed
-/// `tests/multilevel_scale.rs` uses).
-const SCALE_GRAPH_SEED: u64 = 10;
+/// The pinned scale-refine corpus: (nodes, generator seed) of each
+/// `scaled` preset graph. On the [`scale_board`] each needs 2 partitions
+/// and coarsens to a model above `exact_var_limit`, so the V-cycle seeds
+/// its coarsest level with the memory-aware list packer, never the ILP
+/// (the gate pins `initial` = `MemList`). Each graph runs under
+/// `multilevel` and under `memlist+kl`.
+const SCALE_GRAPHS: [(u32, u64); 3] = [(150, 13), (150, 14), (200, 12)];
 
 /// The strategy one op runs.
+#[derive(Clone, Copy)]
 enum Kind {
     Ilp,
     Multilevel,
@@ -85,67 +93,13 @@ enum Kind {
 }
 
 impl Kind {
-    fn span(&self) -> &'static str {
+    /// The span around the op's partition call.
+    fn span(self) -> &'static str {
         match self {
             Kind::Ilp => "ilp.solve",
             Kind::Multilevel => "multilevel.total",
             Kind::MemlistKl => "partition.memlist_kl",
         }
-    }
-}
-
-/// What the multilevel V-cycle reports beyond the design.
-#[derive(Debug, Clone, Copy)]
-struct VcycleFacts {
-    levels: usize,
-    coarsest_tasks: usize,
-    winner: &'static str,
-}
-
-/// The `multilevel` strategy, calling [`partition_multilevel`] with the
-/// production strategy's own configuration and keeping its outcome facts
-/// (levels, coarsest size, guard winner) for the per-layer report. Name,
-/// configuration key and memory mode are the production strategy's, so
-/// the statement key and the certification gate see the same strategy.
-struct ObservedMultilevel {
-    inner: MultilevelStrategy,
-    last: Arc<Mutex<Option<VcycleFacts>>>,
-}
-
-impl PartitionStrategy for ObservedMultilevel {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn partition(
-        &self,
-        ctx: &DesignContext,
-        search: &SearchCtx,
-    ) -> Result<PartitionedDesign, FlowError> {
-        let outcome = partition_multilevel(
-            &ctx.graph,
-            &ctx.arch,
-            &self.inner.config,
-            &self.inner.options,
-            search,
-        )?;
-        *self.last.lock().expect("facts lock") = Some(VcycleFacts {
-            levels: outcome.levels,
-            coarsest_tasks: outcome.coarsest_tasks,
-            winner: outcome.winner,
-        });
-        let mut design = design_from_partitioning(ctx, outcome.partitioning)?;
-        design.stats.proven_optimal = outcome.proven_optimal;
-        design.stats.cancelled = outcome.cancelled;
-        Ok(design)
-    }
-
-    fn config_key(&self) -> Option<String> {
-        self.inner.config_key()
-    }
-
-    fn memory_mode(&self) -> MemoryMode {
-        self.inner.memory_mode()
     }
 }
 
@@ -156,28 +110,19 @@ struct Job {
     arch: Architecture,
     kind: Kind,
     strategy: Box<dyn PartitionStrategy>,
-    facts: Arc<Mutex<Option<VcycleFacts>>>,
-    /// The generated graph, for the probes and the seed check.
+    /// The generated graph, for the probes and the checks.
     graph: TaskGraph,
     /// Latency of the flat `memlist` seed the bench computes itself; the
     /// op's design must never be worse.
     seed_latency_ns: Option<u64>,
 }
 
-/// What one op produced, all owned numbers.
+/// What one op produced.
 struct Done {
-    partitions: u32,
-    sum_delay_ns: u64,
-    latency_ns: u64,
+    design: PartitionedDesign,
+    fission: FissionAnalysis,
     modelled_ns: u64,
-    proven_optimal: bool,
-    nodes: usize,
-    pivots: usize,
-    cold_solves: usize,
-    solve_ns: u64,
     key_bytes: usize,
-    facts: Option<VcycleFacts>,
-    problems: Vec<String>,
 }
 
 fn flow_err(e: FlowError) -> String {
@@ -198,66 +143,58 @@ fn design_op(t: &mut Trace, id: u64, job: &Job) -> Result<Done, String> {
         })
         .map_err(|e| e.to_string())?;
         let key = t.span("cache.key", |_| statement_key(ctx, job.strategy.as_ref()));
-        let t0 = Instant::now();
         let stage = t
             .span(job.kind.span(), |_| {
                 session.partition_with_search(job.strategy.as_ref(), &SearchCtx::unbounded())
             })
             .map_err(flow_err)?;
-        let solve_ns = nanos(t0.elapsed());
-        let diags = t.span("audit.design", |_| stage.certify(MemoryMode::Net));
         let analyzed = t.span("fission", |_| stage.analyze()).map_err(flow_err)?;
-        let fission_diags = t.span("audit.fission", |_| {
-            audit_fission(
-                &ctx.graph,
-                &analyzed.design.partitioning,
-                &analyzed.fission,
-                &ctx.arch,
-            )
-        });
         let sequencing = analyzed.choose_sequencing(MODELLED_WORKLOAD);
-        let design = &analyzed.design;
-        let problems = diags
-            .iter()
-            .chain(&fission_diags)
-            .map(ToString::to_string)
-            .collect();
+        let modelled_ns = analyzed.total_time_ns(sequencing, MODELLED_WORKLOAD);
         Ok(Done {
-            partitions: design.partitioning.partition_count(),
-            sum_delay_ns: design.sum_delay_ns,
-            latency_ns: design.latency_ns,
-            modelled_ns: analyzed.total_time_ns(sequencing, MODELLED_WORKLOAD),
-            proven_optimal: design.stats.proven_optimal,
-            nodes: design.stats.nodes,
-            pivots: design.stats.pivots,
-            cold_solves: design.stats.cold_solves,
-            solve_ns,
+            design: analyzed.design,
+            fission: analyzed.fission,
+            modelled_ns,
             key_bytes: key.map_or(0, |k| k.as_str().len()),
-            facts: job.facts.lock().expect("facts lock").take(),
-            problems,
         })
     })
 }
 
-/// Checks one op's output against what the workload must produce.
-fn check(job: &Job, done: &Done) -> Result<(), String> {
-    if !done.problems.is_empty() {
-        return Err(format!("audit findings: {}", done.problems.join("; ")));
+/// Checks one op's output against what the workload must produce. The
+/// audits run here, after the pass is timed: the program already ran
+/// `audit_design` as its certification gate (which rejects only
+/// error-class findings), and the bench repeats it to see the warnings.
+fn check(t: &mut Trace, job: &Job, done: &Done) -> Result<(), String> {
+    let d = &done.design;
+    let design_findings = t.span("audit.design", |_| {
+        audit_design(&job.graph, &job.arch, d, MemoryMode::Net)
+    });
+    let fission_findings = t.span("audit.fission", |_| {
+        audit_fission(&job.graph, &d.partitioning, &done.fission, &job.arch)
+    });
+    let findings: Vec<String> = design_findings
+        .iter()
+        .chain(&fission_findings)
+        .map(ToString::to_string)
+        .collect();
+    if !findings.is_empty() {
+        return Err(format!("audit findings: {}", findings.join("; ")));
     }
+    let partitions = d.partitioning.partition_count();
     if let Kind::Ilp = job.kind {
         // The paper's result: proven optimal, 3 partitions, Σd = 8,440 ns.
-        if !done.proven_optimal || done.partitions != 3 || done.sum_delay_ns != 8_440 {
+        if !d.stats.proven_optimal || partitions != 3 || d.sum_delay_ns != 8_440 {
             return Err(format!(
-                "expected a proven 3-partition, 8440 ns design; got optimal={} partitions={} sum={}",
-                done.proven_optimal, done.partitions, done.sum_delay_ns
+                "expected a proven 3-partition, 8440 ns design; got optimal={} partitions={partitions} sum={}",
+                d.stats.proven_optimal, d.sum_delay_ns
             ));
         }
     }
     if let Some(seed) = job.seed_latency_ns {
-        if done.latency_ns > seed {
+        if d.latency_ns > seed {
             return Err(format!(
                 "latency {} ns is worse than the flat memlist seed's {seed} ns",
-                done.latency_ns
+                d.latency_ns
             ));
         }
     }
@@ -271,23 +208,17 @@ fn gate_values(jobs: &[Job], done: &[Done]) -> BTreeMap<String, String> {
         let mut put = |k: &str, v: String| {
             g.insert(format!("{}.{k}", job.label), v);
         };
-        put("partitions", d.partitions.to_string());
-        put("latency_ns", d.latency_ns.to_string());
+        let design = &d.design;
+        put(
+            "partitions",
+            design.partitioning.partition_count().to_string(),
+        );
+        put("latency_ns", design.latency_ns.to_string());
         put("modelled_exec_ns", d.modelled_ns.to_string());
-        match job.kind {
-            Kind::Ilp => {
-                put("nodes", d.nodes.to_string());
-                put("pivots", d.pivots.to_string());
-                put("cold_solves", d.cold_solves.to_string());
-            }
-            Kind::Multilevel => {
-                if let Some(f) = d.facts {
-                    put("levels", f.levels.to_string());
-                    put("coarsest_tasks", f.coarsest_tasks.to_string());
-                    put("winner", f.winner.to_string());
-                }
-            }
-            Kind::MemlistKl => {}
+        if let Kind::Ilp = job.kind {
+            put("nodes", design.stats.nodes.to_string());
+            put("pivots", design.stats.pivots.to_string());
+            put("cold_solves", design.stats.cold_solves.to_string());
         }
     }
     g
@@ -298,12 +229,12 @@ fn gate_values(jobs: &[Job], done: &[Done]) -> BTreeMap<String, String> {
 fn probes(t: &mut Trace, job: &Job) {
     match job.kind {
         Kind::Multilevel => {
-            let ml = MultilevelStrategy::with_options(PartitionOptions::default());
+            let cfg = MultilevelStrategy::with_options(PartitionOptions::default()).config;
             let cfg = CoarsenConfig {
-                coarsest_tasks: ml.config.coarsest_tasks,
-                max_levels: ml.config.max_levels,
-                min_shrink_per_mille: ml.config.min_shrink_per_mille,
-                seed: ml.config.seed,
+                coarsest_tasks: cfg.coarsest_tasks,
+                max_levels: cfg.max_levels,
+                min_shrink_per_mille: cfg.min_shrink_per_mille,
+                seed: cfg.seed,
             };
             let _ = t.span("multilevel.coarsen", |_| {
                 coarsen(&job.graph, &job.arch, &cfg)
@@ -318,7 +249,26 @@ fn probes(t: &mut Trace, job: &Job) {
     }
 }
 
-/// Runs passes over `jobs` for about `seconds`.
+/// The `multilevel` strategy's configuration, called directly through
+/// [`partition_multilevel`] to read the V-cycle's outcome facts (levels,
+/// coarsest size, initial solver, guard winner) that the strategy trait
+/// does not return. Set-up checks that its name and configuration key are
+/// the production strategy's, and each run checks that it partitions
+/// every graph exactly as the op did.
+fn vcycle_probe(job: &Job) -> Result<MultilevelOutcome, String> {
+    let ml = MultilevelStrategy::with_options(PartitionOptions::default());
+    partition_multilevel(
+        &job.graph,
+        &job.arch,
+        &ml.config,
+        &ml.options,
+        &SearchCtx::unbounded(),
+    )
+    .map_err(|e| e.to_string())
+}
+
+/// Runs passes over `jobs` for about `seconds`; returns the passes and
+/// the outputs of every pass whose ops all succeeded.
 fn window(
     jobs: &[Job],
     seconds: f64,
@@ -330,36 +280,36 @@ fn window(
     let mut passes = Vec::new();
     while another_pass(start, seconds, &passes) {
         let p0 = Instant::now();
+        let first_id = report.attempted;
         let mut op_ms = Vec::with_capacity(jobs.len());
-        let mut done = Vec::with_capacity(jobs.len());
-        let mut ok = true;
-        for job in jobs {
-            let id = report.attempted;
+        let mut results = Vec::with_capacity(jobs.len());
+        for (j, job) in jobs.iter().enumerate() {
             let o0 = Instant::now();
-            let result = design_op(t, id, job);
+            results.push(design_op(t, first_id + j as u64, job));
             op_ms.push(o0.elapsed().as_secs_f64() * 1e3);
-            match result {
-                Ok(d) => {
-                    report.check(&job.label, check(job, &d));
-                    done.push(d);
-                }
-                Err(e) => {
-                    report.check(&job.label, Err(e));
-                    ok = false;
-                }
-            }
         }
         passes.push(Pass {
             secs: p0.elapsed().as_secs_f64(),
             op_ms,
         });
-        // Probes after the pass is timed.
+        // Checks and probes after the pass is timed.
+        let mut done = Vec::with_capacity(jobs.len());
+        for (job, result) in jobs.iter().zip(results) {
+            match result {
+                Ok(d) => {
+                    let outcome = check(t, job, &d);
+                    report.check(&job.label, outcome);
+                    done.push(d);
+                }
+                Err(e) => report.check(&job.label, Err(e)),
+            }
+        }
         if t.enabled() {
             for job in jobs {
                 probes(t, job);
             }
         }
-        if ok {
+        if done.len() == jobs.len() {
             report.gate_pass(gate_values(jobs, &done));
             done_log.push(done);
         }
@@ -367,17 +317,16 @@ fn window(
     (passes, done_log)
 }
 
-/// Measures `jobs`; returns the traced window's op outputs per pass.
+/// Measures `jobs`; returns the op outputs per pass of the last window
+/// (the traced one in a traced run).
 fn measure_jobs(args: &Args, jobs: &[Job], report: &mut Report) -> Vec<Vec<Done>> {
-    let mut traced = Vec::new();
+    let mut last = Vec::new();
     measure(args, report, |t, seconds, report| {
         let (passes, log) = window(jobs, seconds, t, report);
-        if t.enabled() {
-            traced = log;
-        }
+        last = log;
         passes
     });
-    traced
+    last
 }
 
 /// The layers every design op calls.
@@ -419,7 +368,6 @@ pub fn run_ilp_dct(args: &Args) -> Result<Report, String> {
                     PartitionOptions::default(),
                     offset,
                 )),
-                facts: Arc::default(),
                 graph: dct.graph.clone(),
                 seed_latency_ns: None,
             })
@@ -429,17 +377,26 @@ pub fn run_ilp_dct(args: &Args) -> Result<Report, String> {
     if args.trace {
         common_layers(&mut report, &log);
         for (b, _) in jobs.iter().enumerate() {
-            let runs: Vec<&Done> = log.iter().filter_map(|p| p.get(b)).collect();
+            let runs: Vec<&PartitionedDesign> = log
+                .iter()
+                .filter_map(|p| p.get(b))
+                .map(|d| &d.design)
+                .collect();
             let Some(first) = runs.first() else { continue };
-            let solve_ms =
-                runs.iter().map(|d| d.solve_ns as f64 / 1e6).sum::<f64>() / runs.len() as f64;
+            // The solver's own wall clock, without the certification
+            // audit the partition call runs after it.
+            let solve_ms = runs
+                .iter()
+                .map(|d| d.stats.wall.as_secs_f64() * 1e3)
+                .sum::<f64>()
+                / runs.len() as f64;
             let [nodes, pivots, cold, solve, rate] = ILP_METRICS[b];
             let metrics = [
-                (nodes, first.nodes as f64),
-                (pivots, first.pivots as f64),
-                (cold, first.cold_solves as f64),
+                (nodes, first.stats.nodes as f64),
+                (pivots, first.stats.pivots as f64),
+                (cold, first.stats.cold_solves as f64),
                 (solve, solve_ms),
-                (rate, first.pivots as f64 / (solve_ms / 1e3)),
+                (rate, first.stats.pivots as f64 / (solve_ms / 1e3)),
             ];
             report.layers.extend(metrics);
         }
@@ -447,11 +404,12 @@ pub fn run_ilp_dct(args: &Args) -> Result<Report, String> {
     Ok(report)
 }
 
-/// The scale-suite board: big enough that a 1k-node graph needs a few
-/// partitions, not hundreds.
+/// The scale-suite board of `tests/multilevel_scale.rs` (xc4044 timing,
+/// 4M words) cut from 50k to 12k CLBs, so that graphs of 150–200 nodes
+/// need 2 partitions and one op takes a fifth of a second, not seconds.
 fn scale_board() -> Architecture {
     let mut a = Architecture::xc4044_wildforce();
-    a.resources = Resources::clbs(50_000);
+    a.resources = Resources::clbs(12_000);
     a.memory_words = 4_000_000;
     a
 }
@@ -461,54 +419,79 @@ pub fn run_scale_refine(args: &Args) -> Result<Report, String> {
     // The corpus is pinned, so the seed is ignored (see README.md).
     let jobs = set_up(&mut report, || {
         let arch = scale_board();
+        let options = PartitionOptions::default();
+        let production = parse_spec("multilevel", &options).map_err(flow_err)?;
+        let probe = MultilevelStrategy::with_options(options.clone());
+        if production.name() != probe.name() || production.config_key() != probe.config_key() {
+            return Err(
+                "the V-cycle probe's configuration is not the `multilevel` strategy's".into(),
+            );
+        }
         let mut jobs = Vec::new();
-        for (nodes, kind) in [(1_000, Kind::Multilevel), (500, Kind::MemlistKl)] {
-            let graph = scaled(&ScaledConfig::preset(nodes), SCALE_GRAPH_SEED);
-            let ctx = DesignContext {
-                graph: graph.clone(),
-                arch: arch.clone(),
-            };
-            let seed = partition_list_memory_aware(&graph, &arch, MemoryMode::Net)
-                .map_err(|e| e.to_string())?;
-            let seed_latency = design_from_partitioning(&ctx, seed)
-                .map_err(flow_err)?
-                .latency_ns;
-            let facts: Arc<Mutex<Option<VcycleFacts>>> = Arc::default();
-            let (label, strategy): (String, Box<dyn PartitionStrategy>) = match kind {
-                Kind::Multilevel => (
-                    format!("ml{nodes}"),
-                    Box::new(ObservedMultilevel {
-                        inner: MultilevelStrategy::with_options(PartitionOptions::default()),
-                        last: Arc::clone(&facts),
-                    }),
-                ),
-                _ => (
-                    format!("kl{nodes}"),
-                    parse_spec("memlist+kl", &PartitionOptions::default()).map_err(flow_err)?,
-                ),
-            };
-            jobs.push(Job {
-                label,
-                text: to_text(&graph),
-                arch: arch.clone(),
-                kind,
-                strategy,
-                facts,
-                graph,
-                seed_latency_ns: Some(seed_latency),
-            });
+        for kind in [Kind::Multilevel, Kind::MemlistKl] {
+            for (nodes, graph_seed) in SCALE_GRAPHS {
+                let graph = scaled(&ScaledConfig::preset(nodes), graph_seed);
+                let ctx = DesignContext {
+                    graph: graph.clone(),
+                    arch: arch.clone(),
+                };
+                let seed = partition_list_memory_aware(&graph, &arch, MemoryMode::Net)
+                    .map_err(|e| e.to_string())?;
+                let seed_latency = design_from_partitioning(&ctx, seed)
+                    .map_err(flow_err)?
+                    .latency_ns;
+                let (prefix, spec) = match kind {
+                    Kind::Multilevel => ("ml", "multilevel"),
+                    _ => ("kl", "memlist+kl"),
+                };
+                jobs.push(Job {
+                    label: format!("{prefix}{nodes}s{graph_seed}"),
+                    text: to_text(&graph),
+                    arch: arch.clone(),
+                    kind,
+                    strategy: parse_spec(spec, &options).map_err(flow_err)?,
+                    graph,
+                    seed_latency_ns: Some(seed_latency),
+                });
+            }
         }
         Ok(jobs)
     })?;
     let log = measure_jobs(args, &jobs, &mut report);
+
+    // The V-cycle facts, once per run and outside every op span. The
+    // probe must partition each graph exactly as the op did.
+    let mut facts = Vec::new();
+    for (j, job) in jobs.iter().enumerate() {
+        if !matches!(job.kind, Kind::Multilevel) {
+            continue;
+        }
+        let outcome = vcycle_probe(job).and_then(|o| match log.first().and_then(|p| p.get(j)) {
+            Some(d) if d.design.partitioning == o.partitioning => Ok(o),
+            Some(_) => Err("the V-cycle probe partitioned differently from the op".into()),
+            None => Err("no op output to compare the V-cycle probe with".into()),
+        });
+        let outcome = match outcome {
+            Ok(o) => o,
+            Err(e) => {
+                report.check(&job.label, Err(e));
+                continue;
+            }
+        };
+        let put = [
+            ("levels", outcome.levels.to_string()),
+            ("coarsest_tasks", outcome.coarsest_tasks.to_string()),
+            ("initial", format!("{:?}", outcome.initial)),
+            ("winner", outcome.winner.to_string()),
+        ];
+        for (k, v) in put {
+            report.gate.insert(format!("{}.{k}", job.label), v);
+        }
+        facts.push(outcome);
+    }
+
     if args.trace {
         common_layers(&mut report, &log);
-        let ml: Vec<(&Job, &Done)> = log
-            .iter()
-            .flat_map(|p| jobs.iter().zip(p))
-            .filter(|(j, _)| matches!(j.kind, Kind::Multilevel))
-            .collect();
-        let facts: Vec<VcycleFacts> = ml.iter().filter_map(|(_, d)| d.facts).collect();
         let n = facts.len().max(1) as f64;
         let gains: Vec<f64> = log
             .iter()
@@ -516,7 +499,7 @@ pub fn run_scale_refine(args: &Args) -> Result<Report, String> {
             .filter(|(j, _)| matches!(j.kind, Kind::MemlistKl))
             .filter_map(|(j, d)| {
                 let seed = j.seed_latency_ns? as f64;
-                Some((seed - d.latency_ns as f64) / seed * 1e6)
+                Some((seed - d.design.latency_ns as f64) / seed * 1e6)
             })
             .collect();
         let Some(rec) = &report.recording else {
@@ -529,8 +512,8 @@ pub fn run_scale_refine(args: &Args) -> Result<Report, String> {
         let values = [
             ("multilevel.total_ms", total),
             ("multilevel.coarsen_ms", coarsen_ms),
-            // A subtraction, not a span: coarsest solve, refinement and
-            // the guard together.
+            // A subtraction, not a span: coarsest solve, refinement, the
+            // guard and the certification audit together.
             ("multilevel.uncoarsen_ms", total - coarsen_ms),
             (
                 "multilevel.levels",
@@ -547,7 +530,7 @@ pub fn run_scale_refine(args: &Args) -> Result<Report, String> {
             ("list.memlist_ms", memlist_ms),
             // A subtraction too: the memlist+kl call minus its seed probe.
             ("refine.kl_ms", kl_total - memlist_ms),
-            ("refine.gain_ppm", crate::median(&gains)),
+            ("refine.gain_ppm", median(&gains)),
         ];
         report.layers.extend(values);
     }

@@ -5,7 +5,6 @@
 //! ```text
 //! sparcs_perfbench --workload ilp-dct|scale-refine|stream-dct|service-mix
 //!                  --seed N --seconds S --trace 0|1 [--sparcsd PATH]
-//!                  [--print-gate]
 //! ```
 //!
 //! `perfbench/README.md` says why each workload exists, which layer
@@ -90,15 +89,9 @@ const PER_LAYER: &[(&str, &str)] = &[
 
 /// Set-ups per run: at least `MIN_SETUPS`, more while their total stays
 /// under `SETUP_BUDGET_S`, at most `MAX_SETUPS`; `setup_s` is the median.
-const MIN_SETUPS: usize = 3;
-const MAX_SETUPS: usize = 100;
-const SETUP_BUDGET_S: f64 = 0.3;
-
-/// The low quantile of pass times reported as `pass_s`. Other tenants of
-/// the host swing pass medians by ±20% between runs (shared-cache and
-/// memory-bandwidth contention, not CPU steal); the low decile tracks the
-/// program's own speed.
-const PASS_QUANTILE: f64 = 0.1;
+const MIN_SETUPS: usize = 5;
+const MAX_SETUPS: usize = 200;
+const SETUP_BUDGET_S: f64 = 1.0;
 
 /// Command-line arguments.
 pub struct Args {
@@ -107,7 +100,6 @@ pub struct Args {
     pub seconds: f64,
     pub trace: bool,
     pub sparcsd: PathBuf,
-    pub print_gate: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -116,7 +108,6 @@ fn parse_args() -> Result<Args, String> {
     let mut seconds = None;
     let mut trace = None;
     let mut sparcsd = None;
-    let mut print_gate = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
@@ -138,7 +129,6 @@ fn parse_args() -> Result<Args, String> {
                 })
             }
             "--sparcsd" => sparcsd = Some(PathBuf::from(value()?)),
-            "--print-gate" => print_gate = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -151,7 +141,6 @@ fn parse_args() -> Result<Args, String> {
             .ok_or("--seconds must be > 0")?,
         trace: trace.ok_or("--trace is required")?,
         sparcsd: sparcsd.unwrap_or_else(|| PathBuf::from(target).join("release/sparcsd")),
-        print_gate,
     })
 }
 
@@ -164,23 +153,53 @@ pub struct Pass {
     pub op_ms: Vec<f64>,
 }
 
-/// The pass-time estimate reported as `pass_s`.
-pub fn pass_estimate(passes: &[Pass]) -> f64 {
-    let secs: Vec<f64> = passes.iter().map(|p| p.secs).collect();
-    quantile(&secs, PASS_QUANTILE)
+/// The run's timing figures: `pass_s`, `op_p50_ms` and `op_p90_ms`.
+pub struct Timing {
+    pub pass_s: f64,
+    pub op_p50_ms: f64,
+    pub op_p90_ms: f64,
 }
 
-/// The ops of the fastest tenth of the passes (at least one pass), where
-/// the op percentiles are taken (for the reason given at
-/// [`PASS_QUANTILE`]).
-fn fast_decile_ops(passes: &[Pass]) -> Vec<f64> {
-    let mut sorted: Vec<&Pass> = passes.iter().collect();
-    sorted.sort_by(|a, b| a.secs.total_cmp(&b.secs));
-    sorted
+/// Reduces a run's passes to its timing figures.
+///
+/// In-process workloads repeat one fixed op list, so each op (a position
+/// in the pass) is timed once per pass. Its figure is the upper quartile
+/// of those times: `pass_s` is the sum over the ops and the percentiles
+/// are taken across them. Other tenants of the host slow every op by up
+/// to 2.5×, sometimes in short bursts and sometimes for minutes; the
+/// fastest times then depend on whether a run caught a quiet spell and
+/// the slowest on whether it caught a burst, and the upper quartile moved
+/// least between runs (see README.md). On the closed-loop workload the
+/// ops vary and queue behind each other, so the latency distribution
+/// itself is the figure: the median pass and percentiles over every op.
+pub fn timing(passes: &[Pass], fixed_ops: bool) -> Timing {
+    if fixed_ops {
+        let width = passes.iter().map(|p| p.op_ms.len()).max().unwrap_or(0);
+        let per_op: Vec<f64> = (0..width)
+            .map(|j| {
+                let times: Vec<f64> = passes
+                    .iter()
+                    .filter_map(|p| p.op_ms.get(j).copied())
+                    .collect();
+                quantile(&times, 0.75)
+            })
+            .collect();
+        return Timing {
+            pass_s: per_op.iter().sum::<f64>() / 1e3,
+            op_p50_ms: quantile(&per_op, 0.5),
+            op_p90_ms: quantile(&per_op, 0.9),
+        };
+    }
+    let secs: Vec<f64> = passes.iter().map(|p| p.secs).collect();
+    let ops: Vec<f64> = passes
         .iter()
-        .take(passes.len().div_ceil(10))
         .flat_map(|p| p.op_ms.iter().copied())
-        .collect()
+        .collect();
+    Timing {
+        pass_s: median(&secs),
+        op_p50_ms: quantile(&ops, 0.5),
+        op_p90_ms: quantile(&ops, 0.9),
+    }
 }
 
 /// Everything a workload hands back from one run.
@@ -192,7 +211,8 @@ pub struct Report {
     pub setups: Vec<f64>,
     /// The measured passes.
     pub passes: Vec<Pass>,
-    /// Peak resident memory of processes other than this one (daemons).
+    /// Peak resident memory in kB of processes other than this one (the
+    /// daemons), read at a fixed job count.
     pub extra_rss_kb: u64,
     /// Deterministic values for the gate, from the run's first pass.
     pub gate: BTreeMap<String, String>,
@@ -367,7 +387,7 @@ fn write_trace_files(args: &Args, rec: &Recording) {
 }
 
 /// Fills the tracing-quality metrics every traced run reports.
-fn trace_quality(report: &mut Report) {
+fn trace_quality(report: &mut Report, fixed_ops: bool) {
     let Some(rec) = &report.recording else {
         return;
     };
@@ -379,8 +399,8 @@ fn trace_quality(report: &mut Report) {
     let (dur, covered) = cov
         .iter()
         .fold((0u64, 0u64), |(d, c), &(dd, cc)| (d + dd, c + cc));
-    let traced = pass_estimate(&report.passes);
-    let untraced = pass_estimate(&report.untraced_passes);
+    let traced = timing(&report.passes, fixed_ops).pass_s;
+    let untraced = timing(&report.untraced_passes, fixed_ops).pass_s;
     report.layers.insert(
         "trace.op_coverage_pct",
         if min_cov.is_finite() { min_cov } else { 0.0 },
@@ -431,18 +451,19 @@ fn main() {
         }
     };
 
-    if args.print_gate {
-        eprintln!("{}", gate::render(&report.gate));
-    }
     if let Err(e) = expected.check(&args.workload, args.seed, &report.gate) {
         report.failed += 1;
         eprintln!("perfbench: FAILED determinism gate: {e}");
+        eprintln!(
+            "perfbench: this run's gate values:\n{}",
+            gate::render(&report.gate)
+        );
     }
 
     let in_process = args.workload != "service-mix";
     let mut correct = report.failed == 0 && report.attempted > 0;
     let metrics: Vec<(&str, &str, f64)> = if args.trace {
-        trace_quality(&mut report);
+        trace_quality(&mut report, in_process);
         if let Some(rec) = &report.recording {
             write_trace_files(&args, rec);
         }
@@ -459,12 +480,12 @@ fn main() {
             .collect()
     } else {
         let own_kb = vm_hwm_kb("self");
-        let ops = fast_decile_ops(&report.passes);
+        let t = timing(&report.passes, in_process);
         let values = [
             median(&report.setups),
-            pass_estimate(&report.passes),
-            quantile(&ops, 0.5),
-            quantile(&ops, 0.9),
+            t.pass_s,
+            t.op_p50_ms,
+            t.op_p90_ms,
             (own_kb + report.extra_rss_kb) as f64 / 1024.0,
         ];
         END_TO_END

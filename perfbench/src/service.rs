@@ -1,13 +1,20 @@
 //! `service-mix`: two `sparcsd` daemons (one worker each) sharing one
 //! result store, driven by two closed-loop clients.
 //!
-//! Each client is bound to one daemon and submits from a seeded job list,
-//! waiting for each result before the next submit. The list mixes small
-//! `ilp` jobs on `layered` graphs with 1k-node `memlist` jobs. Half of
-//! the submissions repeat a statement solved during set-up (the daemon
-//! that solved it answers from memory, the other from the disk store);
-//! the other half are fresh statements: a set-up graph under a new name,
-//! so they miss every cache tier and do the same solve work each time.
+//! Client `c` owns daemon `c` and waits for each result before its next
+//! submit. The pinned pool mixes small `ilp` jobs on `layered` graphs
+//! with 1k-node `memlist` jobs, all solved once in set-up. A client runs
+//! cycles of four jobs, each on a pool graph drawn from the seed, under a
+//! name no daemon has seen:
+//!
+//! 1. statement X on its own daemon: a fresh solve, published to the store;
+//! 2. X again on the *other* daemon, which never served X: a store load
+//!    and re-audit;
+//! 3. statement Y on its own daemon: a fresh solve;
+//! 4. Y again on its own daemon: an in-memory hit and re-audit.
+//!
+//! Half the submissions are repeats, and which tier answers each is fixed
+//! by construction.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -32,8 +39,18 @@ const PASS_JOBS: usize = 16;
 /// Small exact-ILP statements and 1k-node memlist statements in the pool.
 const ILP_BASES: u64 = 3;
 const MEMLIST_BASES: u64 = 3;
+/// The pool's generator seed. The pool is pinned so that runs on
+/// different seeds solve the same graphs; `--seed` draws the job stream.
+const POOL_SEED: u64 = 1;
 /// How long a client waits for one result before calling it failed.
 const RESULT_WAIT_MS: u64 = 60_000;
+/// The job count at which a client reads its daemon's peak resident set.
+/// Every fresh job leaves its statement in the daemon's job table and
+/// caches, so the daemons' peak grows with the jobs a run completes; read
+/// at a fixed count it measures memory per work done, not the host's
+/// speed. Runs reach it within about a third of their window even when
+/// other tenants halve the host's speed.
+const RSS_AT_JOBS: u64 = 160;
 
 /// The step of the daemon start-up and shutdown polls.
 fn nap() {
@@ -142,7 +159,7 @@ impl Drop for Service {
     }
 }
 
-fn pool(seed: u64) -> Vec<Base> {
+fn pool() -> Vec<Base> {
     let arch = Architecture::xc4044_wildforce();
     let small = LayeredConfig {
         layers: 3,
@@ -152,7 +169,7 @@ fn pool(seed: u64) -> Vec<Base> {
     };
     let mut bases = Vec::new();
     for i in 0..ILP_BASES + MEMLIST_BASES {
-        let graph_seed = splitmix64(seed ^ (i + 1).wrapping_mul(0x9E37_79B9));
+        let graph_seed = splitmix64(POOL_SEED ^ (i + 1).wrapping_mul(0x9E37_79B9));
         let (graph, partitioner) = if i < ILP_BASES {
             (layered(&small, graph_seed), "ilp")
         } else {
@@ -197,7 +214,7 @@ fn set_up_once(args: &Args, round: usize) -> Result<Service, String> {
     let store = dir.join("store");
     let mut service = Service {
         daemons: Vec::new(),
-        bases: pool(args.seed),
+        bases: pool(),
         first: Vec::new(),
         dir,
     };
@@ -241,23 +258,60 @@ struct ClientLog {
     failed: u64,
     errors: Vec<String>,
     spans: Vec<Span>,
+    /// Own daemon's peak resident set in kB after [`RSS_AT_JOBS`] jobs.
+    rss_kb: Option<u64>,
+}
+
+/// Where a job of the four-job cycle is sent, and whether it repeats the
+/// statement of the job before it.
+const CYCLE: [(Route, bool); 4] = [
+    (Route::Own, false),
+    (Route::Other, true),
+    (Route::Own, false),
+    (Route::Own, true),
+];
+
+#[derive(Clone, Copy)]
+enum Route {
+    Own,
+    Other,
 }
 
 /// One closed-loop client: submit, wait, check, repeat, until `deadline`.
 fn client(s: &Service, c: usize, stream_seed: u64, deadline: Instant, mut t: Trace) -> ClientLog {
-    let daemon = &s.daemons[c];
     let mut log = ClientLog::default();
     let mut rng = splitmix64(stream_seed ^ (c as u64 + 1));
     let mut pass_start = Instant::now();
     let mut op_ms = Vec::with_capacity(PASS_JOBS);
+    // Fresh statements deal the pool like a deck, reshuffled from the
+    // seed whenever it runs out, so every run solves the same mix.
+    let mut deck: Vec<usize> = Vec::new();
+    // The pool index and spec of the last fresh statement.
+    let mut last: Option<(usize, JobSpec)> = None;
     let mut k = 0u64;
     while Instant::now() < deadline {
-        rng = splitmix64(rng);
-        let b = ((rng >> 1) % s.bases.len() as u64) as usize;
-        let repeat = rng & 1 == 0;
+        let (route, repeat) = CYCLE[k as usize % CYCLE.len()];
+        let (b, spec) = match (&last, repeat) {
+            (Some((b, spec)), true) => (*b, spec.clone()),
+            _ => {
+                if deck.is_empty() {
+                    deck = (0..s.bases.len()).collect();
+                    for i in (1..deck.len()).rev() {
+                        rng = splitmix64(rng);
+                        deck.swap(i, (rng % (i as u64 + 1)) as usize);
+                    }
+                }
+                let b = deck.pop().expect("a refilled deck");
+                let spec = s.bases[b].spec(Some(&format!("{stream_seed:x}-c{c}-{k}")));
+                last = Some((b, spec.clone()));
+                (b, spec)
+            }
+        };
+        let daemon = match route {
+            Route::Own => &s.daemons[c],
+            Route::Other => &s.daemons[1 - c],
+        };
         let base = &s.bases[b];
-        let suffix = format!("{stream_seed:x}-c{c}-{k}");
-        let spec = base.spec((!repeat).then_some(suffix.as_str()));
         k += 1;
         let id = (c as u64) << 32 | k;
         let o0 = Instant::now();
@@ -268,6 +322,8 @@ fn client(s: &Service, c: usize, stream_seed: u64, deadline: Instant, mut t: Tra
             t.span("sparcsd.result", |_| wait_result(daemon, job))
         });
         op_ms.push(o0.elapsed().as_secs_f64() * 1e3);
+        // Every answer, fresh or repeated, must be the one set-up got
+        // for the same graph.
         let outcome = served.and_then(|got| {
             t.span("audit.design", |_| check_answer(base, &got))?;
             if got != s.first[b] {
@@ -279,6 +335,9 @@ fn client(s: &Service, c: usize, stream_seed: u64, deadline: Instant, mut t: Tra
             Ok(())
         });
         log.attempted += 1;
+        if k == RSS_AT_JOBS {
+            log.rss_kb = Some(s.daemons[c].peak_rss_kb());
+        }
         if let Err(e) = outcome {
             log.failed += 1;
             log.errors.push(e);
@@ -290,7 +349,7 @@ fn client(s: &Service, c: usize, stream_seed: u64, deadline: Instant, mut t: Tra
             });
             if t.enabled() {
                 // Probes between passes, outside every op span.
-                let _ = t.span("sparcsd.rtt", |_| daemon.stats());
+                let _ = t.span("sparcsd.rtt", |_| s.daemons[c].stats());
                 let strategy = parse_spec(base.partitioner, &PartitionOptions::default());
                 if let Ok(strategy) = strategy {
                     let _ = t.span("cache.key", |_| statement_key(&base.ctx, strategy.as_ref()));
@@ -317,7 +376,9 @@ fn total_stats(s: &Service) -> Result<ServiceStats, String> {
 }
 
 /// Runs both clients for `seconds`; returns their complete passes (a
-/// trailing partial pass is dropped) and the counters' deltas.
+/// trailing partial pass is dropped) and the counters' deltas, and sets
+/// `report.extra_rss_kb` to the daemons' peak resident sets read at
+/// [`RSS_AT_JOBS`] (at the window's end for a client that fell short).
 fn window(
     s: &Service,
     seconds: f64,
@@ -343,7 +404,9 @@ fn window(
     let after = total_stats(s)?;
     let mut passes = Vec::new();
     let mut threads = Vec::new();
-    for log in logs {
+    report.extra_rss_kb = 0;
+    for (log, daemon) in logs.into_iter().zip(&s.daemons) {
+        report.extra_rss_kb += log.rss_kb.unwrap_or_else(|| daemon.peak_rss_kb());
         passes.extend(log.passes);
         report.attempted += log.attempted;
         report.failed += log.failed;
@@ -421,6 +484,5 @@ pub fn run(args: &Args) -> Result<Report, String> {
         let (passes, _, _) = window(&s, args.seconds, false, args.seed, &mut report)?;
         report.passes = passes;
     }
-    report.extra_rss_kb = s.daemons.iter().map(Daemon::peak_rss_kb).sum();
     Ok(report)
 }
