@@ -24,6 +24,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sparcs_bench::experiment;
+use sparcs_estimate::splitmix64;
 use sparcs_ilp::kernels::{self, reference, ColStatus};
 use sparcs_rtr::MAX_BATCH_LANES;
 use std::hint::black_box;
@@ -31,11 +32,9 @@ use std::hint::black_box;
 /// Deterministic splitmix64 — same generator as the kernel proptests, so
 /// the benched distribution is the tested distribution.
 fn prand(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    z
 }
 
 fn unit(state: &mut u64) -> f64 {

@@ -11,8 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sparcs_bench::experiment;
 use sparcs_rtr::{
-    run_idh, CountingSink, FdhSequencer, IdhSequencer, InputSource, Sequencer, SyntheticSource,
-    VecSink,
+    CountingSink, FdhSequencer, IdhSequencer, InputSource, Sequencer, SyntheticSource, VecSink,
 };
 use std::hint::black_box;
 
@@ -31,7 +30,9 @@ fn bench(c: &mut Criterion) {
     let streamed_report = idh.run(&mut source, &mut counted).unwrap();
     let mut materialized = vec![0i32; (computations * in_w) as usize];
     SyntheticSource::new(computations, in_w).read(&mut materialized);
-    let (out, wrapped_report) = run_idh(&exp.arch, &design, &materialized).unwrap();
+    let (out, wrapped_report) = IdhSequencer::new(&exp.arch, &design)
+        .run_slice(&materialized)
+        .unwrap();
     assert_eq!(streamed_report, wrapped_report);
     assert_eq!(counted.digest(), CountingSink::digest_of(&out));
 
@@ -48,11 +49,8 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("idh_materialized_16384", |b| {
         b.iter(|| {
-            run_idh(
-                black_box(&exp.arch),
-                black_box(&design),
-                black_box(&materialized),
-            )
+            IdhSequencer::new(black_box(&exp.arch), black_box(&design))
+                .run_slice(black_box(&materialized))
         })
     });
     let fdh = FdhSequencer::new(&exp.arch, &design);

@@ -25,17 +25,16 @@
 //! The human-readable version of this comparison — with the ratio test and
 //! the rtr batch kernels included — is `benches/bench_kernels.rs`.
 
+use sparcs_estimate::splitmix64;
 use sparcs_ilp::kernels::{self, reference};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 /// Deterministic splitmix64, matching the kernel proptests.
 fn prand(state: &mut u64) -> u64 {
+    let z = splitmix64(*state);
     *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
+    z
 }
 
 fn unit(state: &mut u64) -> f64 {

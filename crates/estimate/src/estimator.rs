@@ -8,13 +8,18 @@
 //! per schedule cycle) + the board-memory interface, all inflated by the
 //! library's floorplan-overhead factor.
 
-use crate::cache::{EstimateCache, EstimateKey};
+use crate::cache::{CacheKey, Memo};
 use crate::library::ComponentLibrary;
 use crate::opgraph::OpGraph;
 use crate::schedule::{self, Allocation, ScheduleError};
 use serde::{Deserialize, Serialize};
 use sparcs_dfg::Resources;
 use std::fmt;
+
+/// The `operation graph + allocation + library + clock → TaskEstimate`
+/// memo; [`Estimator::estimate_with_cached`] and the allocation
+/// exploration route through its process-wide [`Memo::global`] instance.
+pub type EstimateCache = Memo<CacheKey, TaskEstimate>;
 
 /// Synthesis cost estimate of one task (or of a whole static design).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -151,13 +156,8 @@ impl Estimator {
         g: &OpGraph,
         alloc: &Allocation,
     ) -> Result<TaskEstimate, EstimateError> {
-        let key = EstimateKey::builder()
-            .push(g)
-            .push(alloc)
-            .push(&self.lib)
-            .push(&self.max_clock_ns)
-            .build();
-        EstimateCache::global().get_or_estimate(key, || self.estimate_with(g, alloc))
+        let key = CacheKey::of(&[g, alloc, &self.lib, &self.max_clock_ns]);
+        EstimateCache::global().get_or_insert_with(key, || self.estimate_with(g, alloc))
     }
 
     /// Estimates a task under an explicit allocation.

@@ -111,7 +111,7 @@ pub fn pareto_implementations_jobs(
     // Estimate every allocation, each into its own result slot, so the
     // result order (and the error reported, if any) follows enumeration
     // order, not thread scheduling. Estimates go through the global
-    // [`crate::cache::EstimateCache`]: repeated sweeps over the same task
+    // [`crate::EstimateCache`]: repeated sweeps over the same task
     // (every exploration grid point, every bench iteration) schedule each
     // allocation once per process.
     let estimates = scoped_map(jobs, &allocations, |alloc| {
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn repeated_exploration_hits_the_estimate_cache() {
-        use crate::cache::EstimateCache;
+        use crate::EstimateCache;
         let g = mac8();
         let first = pareto_implementations(&est(), &g, 4).unwrap();
         let mid = EstimateCache::global().stats();

@@ -48,7 +48,17 @@ pub mod paper;
 pub mod schedule;
 
 pub use arch::Architecture;
-pub use cache::{EstimateCache, EstimateCacheStats};
-pub use estimator::{EstimateError, Estimator, TaskEstimate};
+pub use estimator::{EstimateCache, EstimateError, Estimator, TaskEstimate};
 pub use library::ComponentLibrary;
 pub use opgraph::{OpGraph, OpId, OpKind};
+
+/// SplitMix64 — the workspace's one deterministic 64-bit mixer. It lives
+/// in this crate because both the host stream generator
+/// (`sparcs_rtr::stream`, which re-exports it) and the multilevel
+/// coarsener's tie-break build on `sparcs_estimate`.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}

@@ -42,7 +42,7 @@
 use std::collections::BTreeMap;
 
 use sparcs_dfg::{algo, GraphError, TaskGraph, TaskId};
-use sparcs_estimate::Architecture;
+use sparcs_estimate::{splitmix64, Architecture};
 
 /// A tower of coarse graphs with the projection maps between levels.
 ///
@@ -84,15 +84,6 @@ pub struct CoarsenConfig {
     pub min_shrink_per_mille: u32,
     /// Seed for the deterministic tie-break among equal-weight edges.
     pub seed: u64,
-}
-
-/// SplitMix64 — tiny, seedable, and good enough to de-correlate the
-/// tie-break among equal-weight candidate edges across rounds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// One matching round: returns `partner[i] = Some(j)` pairs (symmetric)

@@ -11,8 +11,8 @@
 //!
 //! Four adapters cover the common cases:
 //!
-//! * [`SliceSource`] / [`VecSink`] — the materialized convenience pair the
-//!   `run_*` wrapper functions are built from;
+//! * [`SliceSource`] / [`VecSink`] — the materialized convenience pair
+//!   behind [`crate::host::Sequencer::run_slice`];
 //! * [`SyntheticSource`] — a deterministic generator for arbitrarily large
 //!   workloads (multi-GB streams at constant memory);
 //! * [`CountingSink`] — discards data but keeps a word count and a
@@ -114,15 +114,9 @@ impl OutputSink for VecSink {
     }
 }
 
-/// SplitMix64 — the deterministic mixer behind [`SyntheticSource`] (and
-/// the flow layer's synthetic kernels; exported so there is exactly one
-/// copy of the constants).
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// SplitMix64 — the deterministic mixer behind [`SyntheticSource`] and the
+/// flow layer's synthetic kernels, re-exported from its one definition.
+pub use sparcs_estimate::splitmix64;
 
 /// A deterministic synthetic workload generator: computation `c`'s words are
 /// a pure function of `(seed, c)`, so a multi-gigabyte stream needs no

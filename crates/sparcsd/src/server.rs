@@ -55,7 +55,7 @@ use sparcs::flow::{
 };
 use sparcs::service::{JobPhase, JobSpec, Request, Response, ResultSummary, ServiceStats};
 use sparcs::strategy::parse_spec;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -114,6 +114,9 @@ impl Config {
 struct State {
     graph: JobGraph,
     journal: Journal,
+    /// Submitted jobs whose ack is not yet written; workers skip them.
+    /// Not journaled: a replayed job is claimable at once.
+    unacked: HashSet<u64>,
 }
 
 impl State {
@@ -470,9 +473,13 @@ fn worker_loop(shared: &Shared, index: usize) {
                 st.record_lossy(&ev);
                 shared.wakeup.notify_all();
             }
-            // Claim: next_ready + journal + apply under one lock — two
+            // Claim: next ready job + journal + apply under one lock — two
             // workers racing one job serialize here, exactly one wins.
-            match st.graph.next_ready(Instant::now()) {
+            let next = st
+                .graph
+                .ready(Instant::now())
+                .find(|job| !st.unacked.contains(job));
+            match next {
                 Some(job) => {
                     let (spec, attempt) = match st.graph.job(job) {
                         Some(j) => (j.spec.clone(), j.attempts + 1),
@@ -552,11 +559,11 @@ fn submit(shared: &Shared, spec: JobSpec) -> Response {
     }
     let job = st.graph.next_job_id();
     // Journaled (fsync'd) before the acknowledgement: an acked submit is
-    // durable by contract.
+    // durable by contract. Workers leave the job alone until `handle_conn`
+    // has written the ack.
     match st.record(&Event::Submitted { job, spec }) {
         Ok(()) => {
-            drop(st);
-            shared.wakeup.notify_all();
+            st.unacked.insert(job);
             Response::Submitted { job }
         }
         Err(e) => err("journal", format!("could not journal the submit: {e}")),
@@ -702,18 +709,26 @@ fn handle_conn(shared: &Shared, stream: UnixStream) {
         Ok(req) => dispatch(shared, req),
         Err(e) => err("bad-request", format!("unparsable request: {e}")),
     };
-    if faults::drop_point("proto.reply") {
-        return; // injected connection drop: the client sees EOF, retries
-    }
-    let mut out = match serde_json::to_string(&response) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sparcsd: unencodable response: {e}");
-            return;
+    // An injected drop skips the write: the client sees EOF and retries.
+    if !faults::drop_point("proto.reply") {
+        match serde_json::to_string(&response) {
+            Ok(out) => {
+                let _ = (&stream).write_all(format!("{out}\n").as_bytes());
+            }
+            Err(e) => eprintln!("sparcsd: unencodable response: {e}"),
         }
-    };
-    out.push('\n');
-    let _ = (&stream).write_all(out.as_bytes());
+    }
+    if let Response::Submitted { job } = response {
+        // The ack is written, or the client is gone and the durable job
+        // runs anyway: either way a worker may now claim it.
+        shared
+            .state
+            .lock()
+            .expect("state lock")
+            .unacked
+            .remove(&job);
+        shared.wakeup.notify_all();
+    }
 }
 
 /// Binds the listening socket, evicting a stale socket file (a previous
@@ -751,7 +766,11 @@ pub fn run(config: Config) -> io::Result<()> {
     listener.set_nonblocking(true)?;
     let replayed = replay.events.len() as u64;
     let shared = Shared {
-        state: Mutex::new(State { graph, journal }),
+        state: Mutex::new(State {
+            graph,
+            journal,
+            unacked: HashSet::new(),
+        }),
         wakeup: Condvar::new(),
         shutdown: AtomicBool::new(false),
         cancels: Mutex::new(HashMap::new()),

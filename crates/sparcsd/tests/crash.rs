@@ -88,8 +88,13 @@ fn wait_crashed(child: &mut Child) {
     }
 }
 
+/// Long-polls for a job's result. The read timeout outlasts the 60 s
+/// server-side wait, so a slow job fails with the daemon's own `not-done`
+/// reply rather than a client-side read timeout.
 fn result_of(client: &Client, job: u64) -> ResultSummary {
     match client
+        .clone()
+        .with_timeout(Some(Duration::from_secs(90)))
         .request(&Request::Result {
             job,
             wait_ms: Some(60_000),
@@ -177,6 +182,31 @@ fn crash_matrix_recovers_every_acked_job_with_identical_results() {
         shutdown(&client, &mut revived);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// Regression: a worker must not claim a job before its submit is acked.
+/// The ack (reply 2; reply 1 is the readiness probe) is held back 300 ms
+/// while a crash is armed right after the claim, so a worker that claims
+/// before the ack is written kills the daemon with the ack unsent.
+#[test]
+fn submitted_jobs_are_not_claimed_before_their_ack_is_written() {
+    let root = fresh_root("ack-before-claim");
+    let spec = JobSpec::new(fig4_text());
+    let expected = baseline(&root, &spec);
+
+    let faults = "proto.reply=delay:300@2,worker.claim.post=crash";
+    let (mut crashed, client) = spawn_daemon(&root, "victim", "victim-store", Some(faults), &[]);
+    wait_ready(&client);
+    let job = client
+        .submit(spec.clone())
+        .expect("the ack is written before any worker claims the job");
+    wait_crashed(&mut crashed);
+
+    let (mut revived, client) = spawn_daemon(&root, "victim", "victim-store", None, &[]);
+    wait_ready(&client);
+    assert_eq!(result_of(&client, job), expected);
+    shutdown(&client, &mut revived);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A real `SIGKILL` (not an injected abort) at an arbitrary instant: the

@@ -18,9 +18,8 @@
 //!   paper's exact ILP ([`IlpStrategy`]), the §4 list strawman
 //!   ([`ListStrategy`]), seeded refinement chains (`list+kl`,
 //!   `list+anneal`) and racing portfolios all plug in behind one
-//!   interface. Strategies that neither budget nor cancel implement the
-//!   one-shot [`SimpleStrategy`] surface instead and are shimmed in
-//!   automatically.
+//!   interface. A one-shot strategy with nothing to interrupt simply
+//!   ignores the search context.
 //! * [`PartitionedFlow`] → [`AnalyzedFlow`] carry the design through the
 //!   fission analysis to host-code generation, so a caller can stop at
 //!   whichever stage it needs.
@@ -288,9 +287,8 @@ type BuiltinStrategy = (Box<dyn PartitionStrategy>, Option<u32>);
 /// carrying a wall-clock budget and a cancellation token, and cooperative
 /// implementations (the ILP's branch-and-bound, the refinement passes)
 /// return their best design so far when stopped instead of dying. A
-/// strategy with nothing to interrupt should implement the one-shot
-/// [`SimpleStrategy`] surface instead — a blanket shim lifts it into this
-/// trait with [`SearchCtx::unbounded`] semantics.
+/// strategy with nothing to interrupt (the list heuristics) ignores the
+/// context and behaves as if handed [`SearchCtx::unbounded`].
 pub trait PartitionStrategy: Send + Sync {
     /// The strategy's *spec*: the full rendering of its compose chain
     /// (`"ilp"`, `"list+kl"`, `"portfolio"`, …), used in reports,
@@ -346,57 +344,6 @@ pub trait PartitionStrategy: Send + Sync {
     /// memory and schedulability bounds can.
     fn partition_cap(&self) -> Option<u32> {
         None
-    }
-}
-
-/// The legacy one-shot strategy surface: `partition(&ctx)` with no search
-/// context, exactly the pre-algebra `PartitionStrategy` shape. Existing
-/// implementations keep working by implementing this trait — a blanket
-/// shim lifts every `SimpleStrategy` into [`PartitionStrategy`], ignoring
-/// the search context (the strategy behaves as if it were always handed
-/// [`SearchCtx::unbounded`], which is sound for strategies that finish in
-/// one shot and have nothing to interrupt).
-pub trait SimpleStrategy: Send + Sync {
-    /// Short stable name (used in reports and exploration tables).
-    fn name(&self) -> &'static str;
-
-    /// Partitions the context's graph for its architecture.
-    ///
-    /// # Errors
-    ///
-    /// Strategy-specific; see [`FlowError`].
-    fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError>;
-
-    /// See [`PartitionStrategy::config_key`].
-    fn config_key(&self) -> Option<String> {
-        None
-    }
-
-    /// See [`PartitionStrategy::memory_mode`].
-    fn memory_mode(&self) -> MemoryMode {
-        MemoryMode::Net
-    }
-}
-
-impl<T: SimpleStrategy + ?Sized> PartitionStrategy for T {
-    fn name(&self) -> String {
-        SimpleStrategy::name(self).into()
-    }
-
-    fn partition(
-        &self,
-        ctx: &DesignContext,
-        _search: &SearchCtx,
-    ) -> Result<PartitionedDesign, FlowError> {
-        SimpleStrategy::partition(self, ctx)
-    }
-
-    fn config_key(&self) -> Option<String> {
-        SimpleStrategy::config_key(self)
-    }
-
-    fn memory_mode(&self) -> MemoryMode {
-        SimpleStrategy::memory_mode(self)
     }
 }
 
@@ -512,15 +459,16 @@ impl ListStrategy {
     }
 }
 
-// The heuristic finishes in one shot with nothing to interrupt: it
-// implements the legacy surface and rides the blanket shim — the in-tree
-// proof that pre-algebra strategies keep working unchanged.
-impl SimpleStrategy for ListStrategy {
-    fn name(&self) -> &'static str {
-        "list"
+impl PartitionStrategy for ListStrategy {
+    fn name(&self) -> String {
+        "list".into()
     }
 
-    fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+    fn partition(
+        &self,
+        ctx: &DesignContext,
+        _search: &SearchCtx,
+    ) -> Result<PartitionedDesign, FlowError> {
         let partitioning = partition_list(&ctx.graph, &ctx.arch)?;
         design_from_partitioning(ctx, partitioning)
     }
@@ -542,14 +490,12 @@ impl SimpleStrategy for ListStrategy {
 /// the in-memory one.
 pub fn statement_key(ctx: &DesignContext, strategy: &dyn PartitionStrategy) -> Option<CacheKey> {
     let config = strategy.config_key()?;
-    Some(
-        CacheKey::builder()
-            .push(&ctx.graph)
-            .push(&ctx.arch)
-            .push(&strategy.name())
-            .push(&config)
-            .build(),
-    )
+    Some(CacheKey::of(&[
+        &ctx.graph,
+        &ctx.arch,
+        &strategy.name(),
+        &config,
+    ]))
 }
 
 /// Solves `ctx` with `strategy`, going through `cache` when a cache is
@@ -564,7 +510,9 @@ fn partition_cached(
 ) -> Result<Arc<PartitionedDesign>, FlowError> {
     let cache = cache.filter(|_| search.is_unbounded());
     match (cache, statement_key(ctx, strategy)) {
-        (Some(cache), Some(key)) => cache.get_or_solve(key, || strategy.partition(ctx, search)),
+        (Some(cache), Some(key)) => {
+            cache.get_or_insert_with(key, || strategy.partition(ctx, search).map(Arc::new))
+        }
         _ => Ok(Arc::new(strategy.partition(ctx, search)?)),
     }
 }
@@ -1415,7 +1363,7 @@ pub struct ExploreSpace {
     /// identical for every value. Defaults to [`default_explore_jobs`].
     pub jobs: u32,
     /// Partition cache consulted per candidate; `None` disables caching.
-    /// Defaults to the process-wide [`PartitionCache::global_handle`].
+    /// Defaults to the process-wide [`Memo::global`](crate::cache::Memo::global).
     pub cache: Option<Arc<PartitionCache>>,
 }
 
@@ -1444,7 +1392,7 @@ impl ExploreSpace {
             max_partitions: vec![None],
             architectures: Vec::new(),
             jobs: default_explore_jobs(),
-            cache: Some(PartitionCache::global_handle()),
+            cache: Some(Arc::clone(PartitionCache::global())),
         }
     }
 
@@ -1928,15 +1876,16 @@ mod tests {
         assert!(line.contains("no feasible partitioning"), "{line}");
     }
 
-    // The legacy one-shot surface: these two compile unchanged against
-    // `SimpleStrategy` and ride the blanket shim into every search-aware
-    // consumer (`partition_with`, `extra_strategies`, …).
     struct BrokenStrategy;
-    impl SimpleStrategy for BrokenStrategy {
-        fn name(&self) -> &'static str {
-            "broken"
+    impl PartitionStrategy for BrokenStrategy {
+        fn name(&self) -> String {
+            "broken".into()
         }
-        fn partition(&self, _ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+        fn partition(
+            &self,
+            _ctx: &DesignContext,
+            _search: &SearchCtx,
+        ) -> Result<PartitionedDesign, FlowError> {
             // A cycle report from a validated DAG can only mean a bug.
             Err(FlowError::Graph(GraphError::Cycle(sparcs_dfg::TaskId(0))))
         }
@@ -1955,11 +1904,15 @@ mod tests {
     /// Piles every task into partition 0 — resource-infeasible on fig4's
     /// board, so exploration must reject it at validation.
     struct OnePartitionStrategy;
-    impl SimpleStrategy for OnePartitionStrategy {
-        fn name(&self) -> &'static str {
-            "one-partition"
+    impl PartitionStrategy for OnePartitionStrategy {
+        fn name(&self) -> String {
+            "one-partition".into()
         }
-        fn partition(&self, ctx: &DesignContext) -> Result<PartitionedDesign, FlowError> {
+        fn partition(
+            &self,
+            ctx: &DesignContext,
+            _search: &SearchCtx,
+        ) -> Result<PartitionedDesign, FlowError> {
             let n = ctx.graph.task_count();
             let partitioning =
                 Partitioning::new(vec![sparcs_core::partitioning::PartitionId(0); n]);

@@ -9,8 +9,8 @@ use sparcs::core::SequencingStrategy;
 use sparcs::estimate::Architecture;
 use sparcs::flow::FlowSession;
 use sparcs::rtr::{
-    run_fdh, run_idh, run_static, Configuration, CountingSink, FdhSequencer, IdhSequencer,
-    InputSource, RtrDesign, Sequencer, StaticSequencer, SyntheticSource, VecSink,
+    Configuration, CountingSink, FdhSequencer, IdhSequencer, InputSource, RtrDesign, Sequencer,
+    StaticSequencer, SyntheticSource, VecSink,
 };
 
 /// Materializes a synthetic workload so the wrapper functions can be run
@@ -221,7 +221,7 @@ fn tail_slots_are_dropped_by_the_streamed_drivers() {
 }
 
 /// `AnalyzedFlow::run` with the synthetic source and counting sink reports
-/// exactly what the legacy wrappers report on the materialized equivalent,
+/// exactly what `Sequencer::run_slice` reports on the materialized equivalent,
 /// and the simulated IDH total agrees with the analytic overlapped model
 /// the exploration ranks by.
 #[test]
@@ -240,9 +240,10 @@ fn analyzed_flow_run_matches_wrappers_and_analytic_model() {
         let mut source = SyntheticSource::new(workload, in_w);
         let mut sink = CountingSink::new();
         let report = analyzed.run(sequencing, &mut source, &mut sink).unwrap();
+        let arch = &analyzed.context().arch;
         let wrapper = match sequencing {
-            SequencingStrategy::Fdh => run_fdh(&analyzed.context().arch, &design, &materialized),
-            SequencingStrategy::Idh => run_idh(&analyzed.context().arch, &design, &materialized),
+            SequencingStrategy::Fdh => FdhSequencer::new(arch, &design).run_slice(&materialized),
+            SequencingStrategy::Idh => IdhSequencer::new(arch, &design).run_slice(&materialized),
         }
         .unwrap();
         assert_eq!(report, wrapper.1, "{sequencing} report");
@@ -265,8 +266,9 @@ fn analyzed_flow_run_matches_wrappers_and_analytic_model() {
     let report = analyzed
         .run_static_baseline(&mut source, &mut sink)
         .unwrap();
-    let (expect_out, expect_report) =
-        run_static(&analyzed.context().arch, &stat, &materialized).unwrap();
+    let (expect_out, expect_report) = StaticSequencer::new(&analyzed.context().arch, &stat)
+        .run_slice(&materialized)
+        .unwrap();
     assert_eq!(report, expect_report);
     assert_eq!(sink.digest(), CountingSink::digest_of(&expect_out));
 }
@@ -281,8 +283,9 @@ fn dct_image_source_streams_bit_exact_coefficients() {
     let exp = DctExperiment::paper().unwrap();
     let design = exp.rtr_design();
     let img = Image::noise(32, 32, 0xBEEF); // 64 blocks
-    let (expect_out, expect_report) =
-        run_idh(&exp.arch, &design, &DctExperiment::input_stream(&img)).unwrap();
+    let (expect_out, expect_report) = IdhSequencer::new(&exp.arch, &design)
+        .run_slice(&DctExperiment::input_stream(&img))
+        .unwrap();
     let mut source = DctExperiment::image_source(&img);
     let mut sink = CountingSink::new();
     let report = IdhSequencer::new(&exp.arch, &design)
