@@ -71,7 +71,7 @@ use sparcs_ilp::SolveError;
 use sparcs_rtr::stream::splitmix64;
 use sparcs_rtr::{
     Configuration, FdhSequencer, HostError, IdhSequencer, InputSource, OutputSink, RtrDesign,
-    Sequencer, StaticDesign, StaticSequencer, TimeReport,
+    Sequencer, StaticDesign, TimeReport,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -1293,22 +1293,6 @@ impl AnalyzedFlow<'_> {
             SequencingStrategy::Idh => IdhSequencer::new(&self.ctx.arch, &design).run(source, sink),
         }?;
         Ok(report)
-    }
-
-    /// Streams a workload through the *static* baseline equivalent — the
-    /// comparison row every paper table carries, behind the same
-    /// source/sink interface as [`Self::run`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::run`].
-    pub fn run_static_baseline(
-        &self,
-        source: &mut dyn InputSource,
-        sink: &mut dyn OutputSink,
-    ) -> Result<TimeReport, FlowError> {
-        let design = self.static_equivalent()?;
-        Ok(StaticSequencer::new(&self.ctx.arch, &design).run(source, sink)?)
     }
 }
 

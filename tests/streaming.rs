@@ -259,16 +259,13 @@ fn analyzed_flow_run_matches_wrappers_and_analytic_model() {
         }
     }
 
-    // The static baseline streams through the same interface.
+    // The static baseline equivalent streams through the same interface.
     let stat = analyzed.static_equivalent().unwrap();
+    let baseline = StaticSequencer::new(&analyzed.context().arch, &stat);
     let mut source = SyntheticSource::new(workload, in_w);
     let mut sink = CountingSink::new();
-    let report = analyzed
-        .run_static_baseline(&mut source, &mut sink)
-        .unwrap();
-    let (expect_out, expect_report) = StaticSequencer::new(&analyzed.context().arch, &stat)
-        .run_slice(&materialized)
-        .unwrap();
+    let report = baseline.run(&mut source, &mut sink).unwrap();
+    let (expect_out, expect_report) = baseline.run_slice(&materialized).unwrap();
     assert_eq!(report, expect_report);
     assert_eq!(sink.digest(), CountingSink::digest_of(&expect_out));
 }
