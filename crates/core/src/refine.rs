@@ -3,26 +3,31 @@
 //! The paper's flow picks one partitioner and stops; hybrid-partitioning
 //! practice (Galanis et al., Chen et al.) instead *seeds* with a cheap
 //! constructive heuristic and improves it with local search. This module
-//! implements the two classic passes behind that shape, both operating on a
-//! [`Partitioning`] under the full §2.1 feasibility conditions (precedence,
-//! per-partition resources, boundary memory — whatever
-//! [`Partitioning::validate`] checks):
+//! implements the three classic passes behind that shape, all operating on
+//! a [`Partitioning`] under the full §2.1 feasibility conditions
+//! (precedence, per-partition resources, boundary memory — whatever
+//! [`Partitioning::validate`] checks). [`refine`] runs one [`Pass`]:
 //!
-//! * [`kl_refine`] — a Kernighan–Lin-style steepest-descent pass over
-//!   single-task *moves* and pairwise *swaps*; deterministic, monotone.
-//! * [`anneal_refine`] — seeded simulated annealing over the same move
+//! * [`Pass::Kl`] — a Kernighan–Lin-style steepest-descent pass over
+//!   single-task *moves* and pairwise *swaps*, followed by gain-sequence
+//!   chains; deterministic, monotone.
+//! * [`Pass::Fm`] — the gain-sequence (Fiduccia–Mattheyses-style) chains
+//!   alone ([`GainConfig`]): tentative move chains through zero-gain and
+//!   temporarily infeasible states, best-prefix commit; also repairs an
+//!   infeasible seed.
+//! * [`Pass::Anneal`] — seeded simulated annealing over the move/swap
 //!   neighbourhood with a geometric temperature schedule
 //!   ([`AnnealSchedule`]); deterministic for a fixed seed, and never worse
 //!   than its input because the best-ever design is returned.
 //!
-//! Both passes are *cooperative*: they poll the [`SearchCtx`] between
-//! rounds (and inside long scans) and return the best design found so far
-//! when stopped. Partition ids order execution in time, so refinement
-//! moves tasks across the seed's *existing* temporal slots — it never
-//! opens a new partition, but a move may empty one, which
-//! [`Partitioning::new`] compacts away: the result can have *fewer*
-//! partitions than the seed (that is how refinement can also win back the
-//! `N·CT` reconfiguration term).
+//! All three score candidates with one move evaluator, which polls the
+//! [`SearchCtx`] before every evaluation: a stopped pass returns the best
+//! design it has committed, at most one evaluation after the stop. Partition
+//! ids order execution in time, so refinement moves tasks across the seed's
+//! *existing* temporal slots — it never opens a new partition, but a move
+//! may empty one, which [`Partitioning::new`] compacts away: the result can
+//! have *fewer* partitions than the seed (that is how refinement can also
+//! win back the `N·CT` reconfiguration term).
 
 use crate::delay::total_latency_ns;
 use crate::partitioning::{MemoryMode, PartitionId, Partitioning};
@@ -31,138 +36,45 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use sparcs_dfg::{GraphError, TaskGraph};
 use sparcs_estimate::Architecture;
 
-/// Evaluates an assignment: its compacted partitioning and design latency,
-/// or `None` when it violates any feasibility condition.
-fn evaluate(
-    g: &TaskGraph,
-    arch: &Architecture,
-    mode: MemoryMode,
-    assignment: &[PartitionId],
-) -> Option<(u64, Partitioning)> {
-    let p = Partitioning::new(assignment.to_vec());
-    if !p.validate(g, arch, mode).is_empty() {
-        return None;
-    }
-    let cost = total_latency_ns(g, &p, arch.reconfig_time_ns).ok()?;
-    Some((cost, p))
+/// One refinement pass and its configuration. Every field influences the
+/// result and is rendered into strategy cache keys.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Pass {
+    /// Steepest descent: repeatedly applies the single best strictly
+    /// improving feasible change — moving one task to another partition,
+    /// or swapping two tasks across partitions — until no change improves
+    /// the latency or `max_rounds` rounds ran; then the gain-sequence
+    /// chains of [`Pass::Fm`] under `gains`, which walk through the
+    /// zero-gain plateaus where descent stops.
+    Kl {
+        /// Maximum steepest-descent rounds.
+        max_rounds: usize,
+        /// Chain length, pass count and scan caps of the chain search.
+        gains: GainConfig,
+    },
+    /// Gain-sequence chains alone (see [`GainConfig`]).
+    Fm(GainConfig),
+    /// Simulated annealing under a seeded schedule.
+    Anneal(AnnealSchedule),
 }
 
-/// Kernighan–Lin-style refinement: repeatedly applies the single best
-/// strictly improving feasible change — moving one task to another
-/// partition, or swapping two tasks across partitions — until no change
-/// improves the latency, `max_rounds` rounds ran, or the search was
-/// stopped. The scan order (tasks ascending, targets ascending, swap pairs
-/// lexicographic) and the strict-improvement rule make the result
-/// deterministic, and the returned partitioning never has higher latency
-/// than the seed.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Cycle`] if `g` is not a DAG.
-pub fn kl_refine(
-    g: &TaskGraph,
-    arch: &Architecture,
-    mode: MemoryMode,
-    seed: &Partitioning,
-    max_rounds: usize,
-    search: &SearchCtx,
-) -> Result<Partitioning, GraphError> {
-    let n = seed.partition_count();
-    let tasks = g.task_count();
-    if n <= 1 || tasks == 0 {
-        return Ok(seed.clone());
+impl Pass {
+    /// The `kl` pass at its standard depth: up to 64 descent rounds, then
+    /// chains under `gains`.
+    pub fn kl(gains: GainConfig) -> Self {
+        Pass::Kl {
+            max_rounds: 64,
+            gains,
+        }
     }
-    let mut best = seed.clone();
-    let mut best_cost = total_latency_ns(g, seed, arch.reconfig_time_ns)?;
-    let mut assignment = seed.assignment().to_vec();
-    // A round scans O(V·N + V²) candidates, each costing a full validate +
-    // delay evaluation — far too long between stop checks on big graphs.
-    // Poll inside the scan too, every 64 evaluations (same cadence as the
-    // annealer); a mid-scan stop abandons the round and returns the best
-    // applied state.
-    let mut evals = 0u32;
-    let mut scan_stopped = |search: &SearchCtx| {
-        evals += 1;
-        evals.is_multiple_of(64) && search.stop_requested()
-    };
-    'rounds: for _round in 0..max_rounds {
-        if search.stop_requested() {
-            break;
-        }
-        let mut round_best: Option<(u64, Vec<PartitionId>)> = None;
-        let mut consider = |candidate: &[PartitionId]| {
-            if let Some((cost, _)) = evaluate(g, arch, mode, candidate) {
-                let improves = cost < round_best.as_ref().map_or(best_cost, |(c, _)| *c);
-                if improves {
-                    round_best = Some((cost, candidate.to_vec()));
-                }
-            }
-        };
-        // Single-task moves.
-        let mut candidate = assignment.clone();
-        for t in 0..tasks {
-            let home = assignment[t];
-            for q in 0..n {
-                if PartitionId(q) == home {
-                    continue;
-                }
-                if scan_stopped(search) {
-                    break 'rounds;
-                }
-                candidate[t] = PartitionId(q);
-                consider(&candidate);
-            }
-            candidate[t] = home;
-        }
-        // Pairwise swaps across partitions.
-        for a in 0..tasks {
-            for b in (a + 1)..tasks {
-                if assignment[a] == assignment[b] {
-                    continue;
-                }
-                if scan_stopped(search) {
-                    break 'rounds;
-                }
-                candidate.swap(a, b);
-                consider(&candidate);
-                candidate.swap(a, b);
-            }
-        }
-        let Some((cost, chosen)) = round_best else {
-            break; // local optimum
-        };
-        assignment = chosen;
-        best_cost = cost;
-        best = Partitioning::new(assignment.clone());
-    }
-    Ok(best)
 }
 
-/// Scores an assignment for gain-sequence search: the number of
-/// feasibility violations plus the design latency, compared
-/// lexicographically. Unlike [`evaluate`], infeasible states are ranked
-/// rather than discarded — that is what lets a tentative chain pass
-/// *through* a violation on its way to a better feasible state, and what
-/// lets the pass repair an infeasible seed (a projected coarse
-/// assignment whose conservative memory accounting overshot).
-fn gain_key(
-    g: &TaskGraph,
-    arch: &Architecture,
-    mode: MemoryMode,
-    assignment: &[PartitionId],
-) -> Option<(usize, u64)> {
-    let p = Partitioning::new(assignment.to_vec());
-    let violations = p.validate(g, arch, mode).len();
-    let cost = total_latency_ns(g, &p, arch.reconfig_time_ns).ok()?;
-    Some((violations, cost))
-}
-
-/// Configuration of [`kl_refine_gains`] — the true gain-sequence
-/// (Fiduccia–Mattheyses-style) pass that fixes the single-move early
-/// exit of [`kl_refine`]: a chain of tentative moves is explored even
-/// when individual moves have zero or negative gain, and the best
-/// *prefix* of the chain is committed. Every field influences the result
-/// and is rendered into strategy cache keys.
+/// Configuration of the gain-sequence chain search ([`Pass::Fm`], and the
+/// second half of [`Pass::Kl`]) — the true Fiduccia–Mattheyses-style pass
+/// that fixes steepest descent's single-move early exit: a chain of
+/// tentative moves is explored even when individual moves have zero or
+/// negative gain, and the best *prefix* of the chain is committed. Every
+/// field influences the result and is rendered into strategy cache keys.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GainConfig {
     /// Maximum commit passes (each explores one tentative chain).
@@ -194,139 +106,7 @@ impl Default for GainConfig {
     }
 }
 
-/// True gain-sequence KL/FM refinement: each pass explores a chain of
-/// tentative single-task moves — always applying the best available move
-/// even when its gain is zero or negative, locking the moved task — and
-/// then commits the best *prefix* of the chain, judged by the
-/// lexicographic key `(feasibility violations, latency)`. A pass that
-/// finds no strictly improving prefix ends the search.
-///
-/// This is the fix for [`kl_refine`]'s single-move early exit: a
-/// steepest-descent pass stops at the first round with no strictly
-/// improving single move, even when a *sequence* of moves through
-/// zero-gain intermediate states reaches a better design. The chain
-/// discipline walks through those plateaus (and through temporarily
-/// *infeasible* states), and the best-prefix commit keeps the result
-/// monotone: the returned partitioning is never worse than the seed
-/// under the same key — in particular a feasible seed stays feasible,
-/// and an infeasible seed can only lose violations, never gain any.
-///
-/// Deterministic (fixed scan order, first-minimum tie break, no RNG);
-/// polls the [`SearchCtx`] inside scans and returns the best committed
-/// state when stopped. Never opens a new partition.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Cycle`] if `g` is not a DAG.
-pub fn kl_refine_gains(
-    g: &TaskGraph,
-    arch: &Architecture,
-    mode: MemoryMode,
-    seed: &Partitioning,
-    cfg: &GainConfig,
-    search: &SearchCtx,
-) -> Result<Partitioning, GraphError> {
-    let n = seed.partition_count();
-    let tasks = g.task_count();
-    if n <= 1 || tasks == 0 {
-        return Ok(seed.clone());
-    }
-    // Seed key: tolerate an infeasible seed (repair mode) but surface a
-    // cyclic graph as the error it is.
-    total_latency_ns(g, seed, arch.reconfig_time_ns)?;
-    let mut best = seed.assignment().to_vec();
-    let mut best_key = match gain_key(g, arch, mode, &best) {
-        Some(k) => k,
-        None => return Ok(seed.clone()),
-    };
-    let mut evals = 0u32;
-    let mut scan_stopped = |search: &SearchCtx| {
-        evals += 1;
-        evals.is_multiple_of(64) && search.stop_requested()
-    };
-    // Rotating scan start so capped scans cover different tasks each step.
-    let mut cursor = 0usize;
-    'passes: for _pass in 0..cfg.passes {
-        if search.stop_requested() {
-            break;
-        }
-        let start = best.clone();
-        let start_key = best_key;
-        let mut current = start.clone();
-        let mut locked = vec![false; tasks];
-        // The chain as (task, target) moves plus the key reached after
-        // each; committing a prefix replays it over `start`.
-        let mut chain: Vec<(usize, PartitionId, (usize, u64))> = Vec::new();
-        for _step in 0..cfg.max_chain {
-            let mut step_best: Option<(usize, PartitionId, (usize, u64))> = None;
-            let mut scanned = 0usize;
-            for offset in 0..tasks {
-                let t = (cursor + offset) % tasks;
-                if locked[t] {
-                    continue;
-                }
-                let home = current[t];
-                let targets: Vec<u32> = if cfg.adjacent_only {
-                    let mut v = Vec::with_capacity(2);
-                    if home.0 > 0 {
-                        v.push(home.0 - 1);
-                    }
-                    if home.0 + 1 < n {
-                        v.push(home.0 + 1);
-                    }
-                    v
-                } else {
-                    (0..n).filter(|&q| PartitionId(q) != home).collect()
-                };
-                for q in targets {
-                    if scan_stopped(search) {
-                        break 'passes;
-                    }
-                    current[t] = PartitionId(q);
-                    if let Some(key) = gain_key(g, arch, mode, &current) {
-                        let better = step_best
-                            .as_ref()
-                            .is_none_or(|(_, _, best_k)| key < *best_k);
-                        if better {
-                            step_best = Some((t, PartitionId(q), key));
-                        }
-                    }
-                    current[t] = home;
-                    scanned += 1;
-                }
-                if cfg.max_scan > 0 && scanned >= cfg.max_scan {
-                    break;
-                }
-            }
-            let Some((t, to, key)) = step_best else {
-                break; // every task locked or no target evaluates
-            };
-            current[t] = to;
-            locked[t] = true;
-            cursor = (t + 1) % tasks;
-            chain.push((t, to, key));
-        }
-        // Commit the best strict-improvement prefix, if any.
-        let prefix = chain
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, (_, _, key))| (*key, *i))
-            .filter(|(_, (_, _, key))| *key < start_key)
-            .map(|(i, _)| i);
-        let Some(upto) = prefix else {
-            break; // no chain prefix improves: gain-sequence optimum
-        };
-        let mut committed = start;
-        for (t, to, _) in &chain[..=upto] {
-            committed[*t] = *to;
-        }
-        best_key = chain[upto].2;
-        best = committed;
-    }
-    Ok(Partitioning::new(best))
-}
-
-/// The temperature schedule (and RNG seed) of [`anneal_refine`]. Rendered
+/// The temperature schedule (and RNG seed) of [`Pass::Anneal`]. Rendered
 /// into strategy cache keys, so every field that influences the result is
 /// here and the run is a pure function of `(problem, schedule)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -353,42 +133,290 @@ impl Default for AnnealSchedule {
     }
 }
 
-/// Simulated-annealing refinement over the same move/swap neighbourhood as
-/// [`kl_refine`]: proposals are drawn from a seeded [`StdRng`], worsening
-/// feasible moves are accepted with probability `exp(-Δ/T)` under the
-/// geometric [`AnnealSchedule`], and the best feasible design ever visited
-/// is returned — so the result is deterministic for a fixed schedule and
-/// never has higher latency than the seed.
+/// Improves `seed` with one refinement `pass`, checking feasibility under
+/// `mode`. The result never ranks behind the seed: the descent and the
+/// annealer never return a design with higher latency, and the chain
+/// search never one that is worse under the key `(feasibility violations,
+/// latency)` — a feasible seed stays feasible, and an infeasible seed can
+/// only lose violations. Deterministic for a fixed pass (fixed scan
+/// orders, first-minimum tie breaks, a seeded RNG); a stopped search
+/// returns the best design committed so far.
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Cycle`] if `g` is not a DAG.
-pub fn anneal_refine(
+/// Returns [`GraphError::Cycle`] if `g` is not a DAG and the search has
+/// not stopped before the pass began (a stopped search returns `seed`
+/// unchanged without evaluating it).
+pub fn refine(
     g: &TaskGraph,
     arch: &Architecture,
     mode: MemoryMode,
     seed: &Partitioning,
-    schedule: &AnnealSchedule,
+    pass: &Pass,
     search: &SearchCtx,
 ) -> Result<Partitioning, GraphError> {
-    let n = seed.partition_count();
-    let tasks = g.task_count();
-    if n <= 1 || tasks == 0 {
-        return Ok(seed.clone());
+    let ev = Evaluator {
+        g,
+        arch,
+        mode,
+        search,
+    };
+    match pass {
+        Pass::Kl { max_rounds, gains } => {
+            let descended = descend(&ev, seed, *max_rounds)?;
+            chains(&ev, &descended, gains)
+        }
+        Pass::Fm(gains) => chains(&ev, seed, gains),
+        Pass::Anneal(schedule) => anneal(&ev, seed, schedule),
     }
-    let seed_cost = total_latency_ns(g, seed, arch.reconfig_time_ns)?;
+}
+
+/// A candidate's rank: feasibility violations, then design latency.
+type Score = (usize, u64);
+
+/// The search asked to stop before an evaluation.
+struct Stopped;
+
+/// The one move evaluator every pass scores candidates with.
+struct Evaluator<'a> {
+    g: &'a TaskGraph,
+    arch: &'a Architecture,
+    mode: MemoryMode,
+    search: &'a SearchCtx,
+}
+
+impl Evaluator<'_> {
+    /// Scores an assignment: its compacted partitioning's violation count
+    /// and design latency. With `rank_infeasible` off (the descent and the
+    /// annealer, which discard infeasible candidates) an infeasible
+    /// assignment is `None` and its latency is never computed; the chain
+    /// search ranks infeasible states instead — that is what lets a
+    /// tentative chain pass *through* a violation on its way to a better
+    /// feasible state, and what lets it repair an infeasible seed.
+    fn score(
+        &self,
+        assignment: &[PartitionId],
+        rank_infeasible: bool,
+    ) -> Result<Option<Score>, GraphError> {
+        let p = Partitioning::new(assignment.to_vec());
+        let violations = p.validate(self.g, self.arch, self.mode).len();
+        if violations > 0 && !rank_infeasible {
+            return Ok(None);
+        }
+        let latency = total_latency_ns(self.g, &p, self.arch.reconfig_time_ns)?;
+        Ok(Some((violations, latency)))
+    }
+
+    /// Scores one candidate move, polling the search first. A candidate
+    /// that cannot be scored is `None`, like an infeasible one.
+    fn candidate(
+        &self,
+        assignment: &[PartitionId],
+        rank_infeasible: bool,
+    ) -> Result<Option<Score>, Stopped> {
+        if self.search.stop_requested() {
+            return Err(Stopped);
+        }
+        Ok(self.score(assignment, rank_infeasible).ok().flatten())
+    }
+
+    /// Scores a pass's starting point, feasible or not. `None` when the
+    /// pass has nothing to do and returns `seed` unchanged: one partition
+    /// or no tasks leaves nothing to move, and a stopped search evaluates
+    /// nothing more.
+    fn start(&self, seed: &Partitioning) -> Result<Option<Score>, GraphError> {
+        if seed.partition_count() <= 1 || self.g.task_count() == 0 || self.search.stop_requested() {
+            return Ok(None);
+        }
+        self.score(seed.assignment(), true)
+    }
+}
+
+/// The steepest-descent half of [`Pass::Kl`]. The scan order (tasks
+/// ascending, targets ascending, swap pairs lexicographic) and the
+/// strict-improvement rule make it deterministic; a stop mid-scan abandons
+/// the round and keeps the best applied state.
+fn descend(
+    ev: &Evaluator,
+    seed: &Partitioning,
+    max_rounds: usize,
+) -> Result<Partitioning, GraphError> {
+    let Some((_, mut best_cost)) = ev.start(seed)? else {
+        return Ok(seed.clone());
+    };
+    let mut best = seed.clone();
+    let mut assignment = seed.assignment().to_vec();
+    for _round in 0..max_rounds {
+        let Ok(Some((cost, chosen))) =
+            best_change(ev, &assignment, seed.partition_count(), best_cost)
+        else {
+            break; // stopped, or a local optimum
+        };
+        assignment = chosen;
+        best_cost = cost;
+        best = Partitioning::new(assignment.clone());
+    }
+    Ok(best)
+}
+
+/// The single best feasible move or swap from `assignment` with latency
+/// strictly below `bound`, if any.
+fn best_change(
+    ev: &Evaluator,
+    assignment: &[PartitionId],
+    n: u32,
+    bound: u64,
+) -> Result<Option<(u64, Vec<PartitionId>)>, Stopped> {
+    let tasks = assignment.len();
+    let mut round_best: Option<(u64, Vec<PartitionId>)> = None;
+    let mut consider = |candidate: &[PartitionId]| -> Result<(), Stopped> {
+        if let Some((_, cost)) = ev.candidate(candidate, false)? {
+            if cost < round_best.as_ref().map_or(bound, |(c, _)| *c) {
+                round_best = Some((cost, candidate.to_vec()));
+            }
+        }
+        Ok(())
+    };
+    // Single-task moves.
+    let mut candidate = assignment.to_vec();
+    for t in 0..tasks {
+        let home = assignment[t];
+        for q in 0..n {
+            if PartitionId(q) == home {
+                continue;
+            }
+            candidate[t] = PartitionId(q);
+            consider(&candidate)?;
+        }
+        candidate[t] = home;
+    }
+    // Pairwise swaps across partitions.
+    for a in 0..tasks {
+        for b in (a + 1)..tasks {
+            if assignment[a] == assignment[b] {
+                continue;
+            }
+            candidate.swap(a, b);
+            consider(&candidate)?;
+            candidate.swap(a, b);
+        }
+    }
+    Ok(round_best)
+}
+
+/// The gain-sequence chain search ([`Pass::Fm`]): each pass explores a
+/// chain of tentative single-task moves — always applying the best
+/// available move even when its gain is zero or negative, locking the
+/// moved task — and then commits the best *prefix* of the chain by
+/// [`Score`]. A pass that finds no strictly improving prefix ends the
+/// search; a stop mid-chain discards that chain.
+fn chains(
+    ev: &Evaluator,
+    seed: &Partitioning,
+    cfg: &GainConfig,
+) -> Result<Partitioning, GraphError> {
+    // The seed's key ranks an infeasible seed too (repair mode).
+    let Some(mut best_key) = ev.start(seed)? else {
+        return Ok(seed.clone());
+    };
+    let mut best = seed.assignment().to_vec();
+    // Rotating scan start so capped scans cover different tasks each step.
+    let mut cursor = 0usize;
+    for _pass in 0..cfg.passes {
+        let Ok(chain) = explore_chain(ev, &best, seed.partition_count(), cfg, &mut cursor) else {
+            break;
+        };
+        // Commit the best strict-improvement prefix, if any.
+        let prefix = chain
+            .iter()
+            .enumerate()
+            .min_by_key(|(i, (_, _, key))| (*key, *i))
+            .filter(|(_, (_, _, key))| *key < best_key)
+            .map(|(i, _)| i);
+        let Some(upto) = prefix else {
+            break; // no chain prefix improves: gain-sequence optimum
+        };
+        for (t, to, _) in &chain[..=upto] {
+            best[*t] = *to;
+        }
+        best_key = chain[upto].2;
+    }
+    Ok(Partitioning::new(best))
+}
+
+/// One tentative chain from `start`: the `(task, target)` moves plus the
+/// score reached after each.
+fn explore_chain(
+    ev: &Evaluator,
+    start: &[PartitionId],
+    n: u32,
+    cfg: &GainConfig,
+    cursor: &mut usize,
+) -> Result<Vec<(usize, PartitionId, Score)>, Stopped> {
+    let tasks = start.len();
+    let mut current = start.to_vec();
+    let mut locked = vec![false; tasks];
+    let mut chain = Vec::new();
+    for _step in 0..cfg.max_chain {
+        let mut step_best: Option<(usize, PartitionId, Score)> = None;
+        let mut scanned = 0usize;
+        for offset in 0..tasks {
+            let t = (*cursor + offset) % tasks;
+            if locked[t] {
+                continue;
+            }
+            let home = current[t];
+            let targets: Vec<u32> = if cfg.adjacent_only {
+                let next = Some(home.0 + 1).filter(|&q| q < n);
+                home.0.checked_sub(1).into_iter().chain(next).collect()
+            } else {
+                (0..n).filter(|&q| PartitionId(q) != home).collect()
+            };
+            for q in targets {
+                current[t] = PartitionId(q);
+                if let Some(key) = ev.candidate(&current, true)? {
+                    if step_best.as_ref().is_none_or(|(_, _, best)| key < *best) {
+                        step_best = Some((t, PartitionId(q), key));
+                    }
+                }
+                current[t] = home;
+                scanned += 1;
+            }
+            if cfg.max_scan > 0 && scanned >= cfg.max_scan {
+                break;
+            }
+        }
+        let Some((t, to, key)) = step_best else {
+            break; // every task locked or no target evaluates
+        };
+        current[t] = to;
+        locked[t] = true;
+        *cursor = (t + 1) % tasks;
+        chain.push((t, to, key));
+    }
+    Ok(chain)
+}
+
+/// Simulated annealing ([`Pass::Anneal`]): proposals are drawn from a
+/// seeded [`StdRng`], worsening feasible moves are accepted with
+/// probability `exp(-Δ/T)` under the geometric [`AnnealSchedule`], and the
+/// best feasible design ever visited is returned.
+fn anneal(
+    ev: &Evaluator,
+    seed: &Partitioning,
+    schedule: &AnnealSchedule,
+) -> Result<Partitioning, GraphError> {
+    let Some((_, seed_cost)) = ev.start(seed)? else {
+        return Ok(seed.clone());
+    };
+    let (n, tasks) = (seed.partition_count(), ev.g.task_count());
     let mut rng = StdRng::seed_from_u64(schedule.seed);
     let mut current = seed.assignment().to_vec();
     let mut current_cost = seed_cost;
     let mut best = seed.clone();
     let mut best_cost = seed_cost;
     let mut temp = schedule.initial_temp * seed_cost as f64;
-    for i in 0..schedule.iterations {
-        // Poll coarsely: one proposal costs microseconds, the check is an
-        // atomic load plus (rarely) a clock read.
-        if i.is_multiple_of(64) && search.stop_requested() {
-            break;
-        }
+    for _ in 0..schedule.iterations {
         let mut candidate = current.clone();
         let t = rng.gen_range(0..tasks);
         if rng.gen_bool(0.5) {
@@ -402,7 +430,10 @@ pub fn anneal_refine(
         if candidate == current {
             continue;
         }
-        let Some((cost, partitioning)) = evaluate(g, arch, mode, &candidate) else {
+        let Ok(score) = ev.candidate(&candidate, false) else {
+            break;
+        };
+        let Some((_, cost)) = score else {
             continue; // infeasible neighbour: reject
         };
         let delta = cost as f64 - current_cost as f64;
@@ -412,7 +443,7 @@ pub fn anneal_refine(
             current_cost = cost;
             if cost < best_cost {
                 best_cost = cost;
-                best = partitioning;
+                best = Partitioning::new(current.clone());
             }
         }
     }
@@ -423,6 +454,7 @@ pub fn anneal_refine(
 mod tests {
     use super::*;
     use crate::list::partition_list;
+    use crate::search::CancelToken;
     use sparcs_dfg::{gen, Resources};
 
     fn device(clbs: u64) -> Architecture {
@@ -433,6 +465,38 @@ mod tests {
 
     fn latency(g: &TaskGraph, p: &Partitioning, a: &Architecture) -> u64 {
         total_latency_ns(g, p, a.reconfig_time_ns).unwrap()
+    }
+
+    fn cancelled() -> SearchCtx {
+        let token = CancelToken::new();
+        token.cancel();
+        SearchCtx::unbounded().and_cancel(token)
+    }
+
+    /// Runs `pass` unbounded under net memory accounting.
+    fn run(g: &TaskGraph, a: &Architecture, seed: &Partitioning, pass: &Pass) -> Partitioning {
+        refine(g, a, MemoryMode::Net, seed, pass, &SearchCtx::unbounded()).unwrap()
+    }
+
+    /// Steepest descent alone: the reference for descent's own behaviour.
+    fn descent(
+        g: &TaskGraph,
+        a: &Architecture,
+        seed: &Partitioning,
+        search: &SearchCtx,
+    ) -> Partitioning {
+        let mode = MemoryMode::Net;
+        descend(
+            &Evaluator {
+                g,
+                arch: a,
+                mode,
+                search,
+            },
+            seed,
+            32,
+        )
+        .unwrap()
     }
 
     /// The paper's list-partitioner pathology in miniature: the greedy pass
@@ -449,16 +513,13 @@ mod tests {
         (g, device(1600))
     }
 
-    use sparcs_dfg::TaskGraph;
-
     #[test]
     fn kl_fixes_the_eager_list_seed_by_swapping() {
         let (g, a) = eager_trap();
         let seed = partition_list(&g, &a).unwrap();
         // Greedy packs {h, t} (1200 CLBs) and exiles u: Σd = 700 + 600.
         assert_eq!(latency(&g, &seed, &a), 2 * a.reconfig_time_ns + 1300);
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &SearchCtx::unbounded()).unwrap();
+        let refined = descent(&g, &a, &seed, &SearchCtx::unbounded());
         assert!(refined.validate(&g, &a, MemoryMode::Net).is_empty());
         // The t/u swap reaches the optimum: max(500, 600) + 200.
         assert_eq!(latency(&g, &refined, &a), 2 * a.reconfig_time_ns + 800);
@@ -469,8 +530,7 @@ mod tests {
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &SearchCtx::unbounded()).unwrap();
+        let refined = descent(&g, &a, &seed, &SearchCtx::unbounded());
         assert!(refined.validate(&g, &a, MemoryMode::Net).is_empty());
         assert!(latency(&g, &refined, &a) <= latency(&g, &seed, &a));
     }
@@ -480,25 +540,9 @@ mod tests {
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
-        let sched = AnnealSchedule::default();
-        let once = anneal_refine(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &sched,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
-        let twice = anneal_refine(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &sched,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
+        let pass = Pass::Anneal(AnnealSchedule::default());
+        let once = run(&g, &a, &seed, &pass);
+        let twice = run(&g, &a, &seed, &pass);
         assert_eq!(once.assignment(), twice.assignment(), "seeded = repeatable");
         assert!(once.validate(&g, &a, MemoryMode::Net).is_empty());
         assert!(latency(&g, &once, &a) <= latency(&g, &seed, &a));
@@ -506,25 +550,19 @@ mod tests {
 
     #[test]
     fn cancelled_refinement_returns_the_seed_unchanged() {
-        use crate::search::CancelToken;
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        let ctx = SearchCtx::unbounded().and_cancel(token);
-        let kl = kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &ctx).unwrap();
-        assert_eq!(kl.assignment(), seed.assignment());
-        let sa = anneal_refine(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &AnnealSchedule::default(),
-            &ctx,
-        )
-        .unwrap();
-        assert_eq!(sa.assignment(), seed.assignment());
+        let descended = descent(&g, &a, &seed, &cancelled());
+        assert_eq!(descended.assignment(), seed.assignment());
+        for pass in [
+            Pass::kl(GainConfig::default()),
+            Pass::Fm(GainConfig::default()),
+            Pass::Anneal(AnnealSchedule::default()),
+        ] {
+            let refined = refine(&g, &a, MemoryMode::Net, &seed, &pass, &cancelled()).unwrap();
+            assert_eq!(refined.assignment(), seed.assignment(), "{pass:?}");
+        }
     }
 
     /// The single-move early-exit pathology in miniature: merging both
@@ -553,8 +591,7 @@ mod tests {
     #[test]
     fn legacy_kl_stalls_on_the_zero_gain_plateau() {
         let (g, a, seed) = plateau_trap();
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 32, &SearchCtx::unbounded()).unwrap();
+        let refined = descent(&g, &a, &seed, &SearchCtx::unbounded());
         // The executable reference for the old behavior: no strictly
         // improving single change exists, so the pass ends at the seed.
         assert_eq!(refined.assignment(), seed.assignment());
@@ -563,15 +600,7 @@ mod tests {
     #[test]
     fn gain_sequence_crosses_the_plateau_and_merges_the_partitions() {
         let (g, a, seed) = plateau_trap();
-        let refined = kl_refine_gains(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &GainConfig::default(),
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
+        let refined = run(&g, &a, &seed, &Pass::Fm(GainConfig::default()));
         assert!(refined.validate(&g, &a, MemoryMode::Net).is_empty());
         assert_eq!(refined.partition_count(), 1, "both halves must merge");
         assert_eq!(latency(&g, &refined, &a), a.reconfig_time_ns + 300);
@@ -583,25 +612,9 @@ mod tests {
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
-        let cfg = GainConfig::default();
-        let once = kl_refine_gains(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &cfg,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
-        let twice = kl_refine_gains(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &cfg,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
+        let pass = Pass::Fm(GainConfig::default());
+        let once = run(&g, &a, &seed, &pass);
+        let twice = run(&g, &a, &seed, &pass);
         assert_eq!(once.assignment(), twice.assignment());
         assert!(once.validate(&g, &a, MemoryMode::Net).is_empty());
         assert!(latency(&g, &once, &a) <= latency(&g, &seed, &a));
@@ -619,15 +632,7 @@ mod tests {
         let a = device(800);
         let seed = Partitioning::new(vec![PartitionId(0), PartitionId(0), PartitionId(1)]);
         assert!(!seed.validate(&g, &a, MemoryMode::Net).is_empty());
-        let refined = kl_refine_gains(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &GainConfig::default(),
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
+        let refined = run(&g, &a, &seed, &Pass::Fm(GainConfig::default()));
         assert!(
             refined.validate(&g, &a, MemoryMode::Net).is_empty(),
             "the violation-ranked chain must repair the seed"
@@ -636,7 +641,6 @@ mod tests {
 
     #[test]
     fn gain_sequence_respects_scan_caps_and_cancellation() {
-        use crate::search::CancelToken;
         let g = gen::fig4_example();
         let a = device(1200);
         let seed = partition_list(&g, &a).unwrap();
@@ -646,22 +650,11 @@ mod tests {
             adjacent_only: true,
             ..GainConfig::default()
         };
-        let refined = kl_refine_gains(
-            &g,
-            &a,
-            MemoryMode::Net,
-            &seed,
-            &capped,
-            &SearchCtx::unbounded(),
-        )
-        .unwrap();
+        let refined = run(&g, &a, &seed, &Pass::Fm(capped));
         assert!(latency(&g, &refined, &a) <= latency(&g, &seed, &a));
         // A pre-cancelled search returns the seed unchanged.
-        let token = CancelToken::new();
-        token.cancel();
-        let ctx = SearchCtx::unbounded().and_cancel(token);
-        let stopped =
-            kl_refine_gains(&g, &a, MemoryMode::Net, &seed, &GainConfig::default(), &ctx).unwrap();
+        let pass = Pass::Fm(GainConfig::default());
+        let stopped = refine(&g, &a, MemoryMode::Net, &seed, &pass, &cancelled()).unwrap();
         assert_eq!(stopped.assignment(), seed.assignment());
     }
 
@@ -671,8 +664,7 @@ mod tests {
         let a = device(2000);
         let seed = partition_list(&g, &a).unwrap();
         assert_eq!(seed.partition_count(), 1);
-        let refined =
-            kl_refine(&g, &a, MemoryMode::Net, &seed, 8, &SearchCtx::unbounded()).unwrap();
+        let refined = run(&g, &a, &seed, &Pass::kl(GainConfig::default()));
         assert_eq!(refined.assignment(), seed.assignment());
     }
 }

@@ -21,9 +21,10 @@
 //!    when its variable count fits a budget; otherwise the memory-aware
 //!    list heuristic seeds the tower.
 //! 4. **Uncoarsen** — the assignment is projected down one level at a
-//!    time and refined with `sparcs_core::refine::kl_refine_gains`, whose
-//!    violation-tolerant gain key also *repairs* projections whose
-//!    conservative coarse memory accounting overshot.
+//!    time and refined with the gain-sequence pass
+//!    (`sparcs_core::refine::Pass::Fm`), whose violation-tolerant key also
+//!    *repairs* projections whose conservative coarse memory accounting
+//!    overshot.
 //! 5. **Guard** — the result is compared against plain `list` and
 //!    memory-aware `list` on the original graph and the best feasible
 //!    candidate wins, so multilevel is never worse than the heuristics it
@@ -35,7 +36,7 @@ pub mod lagrange;
 use sparcs_core::ilp::{PartitionError, PartitionOptions};
 use sparcs_core::list::{partition_list, partition_list_memory_aware};
 use sparcs_core::partitioning::MemoryMode;
-use sparcs_core::refine::{kl_refine, kl_refine_gains, GainConfig};
+use sparcs_core::refine::{refine, GainConfig, Pass};
 use sparcs_core::{IlpPartitioner, PartitionId, Partitioning, SearchCtx};
 use sparcs_dfg::{GraphError, TaskGraph, TaskId};
 use sparcs_estimate::Architecture;
@@ -285,8 +286,9 @@ pub fn partition_multilevel(
             .map(|&coarse_idx| assignment[coarse_idx])
             .collect();
         let seeded = Partitioning::new(projected);
-        let refined = refine_level(fine, arch, cfg, &seeded, search)?;
-        // kl_refine_gains compacts, so re-expand to raw slot ids.
+        let pass = Pass::Fm(level_gains(cfg, fine.task_count()));
+        let refined = refine(fine, arch, cfg.memory_mode, &seeded, &pass, search)?;
+        // Refinement compacts, so re-expand to raw slot ids.
         assignment = refined.assignment().to_vec();
         cancelled |= search.stop_requested();
     }
@@ -368,10 +370,10 @@ fn heuristic_seed(
 /// descent and an uncapped gain scan; above it the scans tier down.
 const EXHAUSTIVE_TASKS: usize = 96;
 
-/// A guard candidate's full polish: on small graphs the same
-/// `kl_refine` descent + gain-sequence pipeline the `list+kl` strategy
-/// chain runs (so the guard can never rank behind it), on wide graphs
-/// just the bounded gain pass.
+/// A guard candidate's full polish: on small graphs the `list+kl` pass
+/// itself ([`Pass::kl`] under the level gain config, so the guard can never
+/// rank behind that chain), on mid-size graphs the bounded gain pass of an
+/// uncoarsening level.
 fn polish(
     g: &TaskGraph,
     arch: &Architecture,
@@ -379,28 +381,23 @@ fn polish(
     seed: &Partitioning,
     search: &SearchCtx,
 ) -> Result<Partitioning, GraphError> {
-    if g.task_count() > cfg.wide_graph_tasks {
+    let tasks = g.task_count();
+    if tasks > cfg.wide_graph_tasks {
         // On wide graphs the flat candidates are rank-only backstops:
         // refining each would cost as much as the whole v-cycle.
         return Ok(seed.clone());
     }
-    let descended = if g.task_count() <= EXHAUSTIVE_TASKS {
-        kl_refine(g, arch, cfg.memory_mode, seed, 64, search)?
+    let pass = if tasks <= EXHAUSTIVE_TASKS {
+        Pass::kl(cfg.refine.clone())
     } else {
-        seed.clone()
+        Pass::Fm(level_gains(cfg, tasks))
     };
-    refine_level(g, arch, cfg, &descended, search)
+    refine(g, arch, cfg.memory_mode, seed, &pass, search)
 }
 
-/// One uncoarsening level's refinement, with the wide-graph scan caps.
-fn refine_level(
-    g: &TaskGraph,
-    arch: &Architecture,
-    cfg: &MultilevelConfig,
-    seed: &Partitioning,
-    search: &SearchCtx,
-) -> Result<Partitioning, GraphError> {
-    let tasks = g.task_count();
+/// The gain config of one uncoarsening level of `tasks` tasks: the
+/// configured one, with scan caps on wide levels.
+fn level_gains(cfg: &MultilevelConfig, tasks: usize) -> GainConfig {
     let mut gain = cfg.refine.clone();
     if tasks > cfg.wide_graph_tasks {
         // Every gain evaluation costs O(V + E) — milliseconds at 10k
@@ -430,7 +427,7 @@ fn refine_level(
         gain.passes = gain.passes.min(4);
         gain.adjacent_only = true;
     }
-    kl_refine_gains(g, arch, cfg.memory_mode, seed, &gain, search)
+    gain
 }
 
 #[cfg(test)]

@@ -6,10 +6,10 @@
 //! smaller ones:
 //!
 //! * [`Seeded`] — run any strategy as a *seed*, then improve its
-//!   partitioning with a chain of [`Refinement`] passes ([`KlRefiner`],
-//!   [`AnnealRefiner`]). Refinement never worsens the seed's latency and
-//!   preserves feasibility, so `list+kl` is a drop-in upgrade of the §4
-//!   strawman.
+//!   partitioning with a chain of [`Refiner`] passes (`kl`, `fm`,
+//!   `anneal`: the three [`Pass`]es of [`sparcs_core::refine`]).
+//!   Refinement never worsens the seed's latency and preserves
+//!   feasibility, so `list+kl` is a drop-in upgrade of the §4 strawman.
 //! * [`MemoryAwareListStrategy`] — the list seed that validates word
 //!   capacity *during* packing instead of producing designs that fail
 //!   validation downstream.
@@ -38,197 +38,47 @@ use crate::flow::{
 use scoped_threadpool::scoped_map;
 use sparcs_core::list::partition_list_memory_aware;
 use sparcs_core::model::DelayMode;
-use sparcs_core::partitioning::{MemoryMode, Partitioning};
-use sparcs_core::refine::{anneal_refine, kl_refine, kl_refine_gains, AnnealSchedule, GainConfig};
+use sparcs_core::partitioning::MemoryMode;
+use sparcs_core::refine::{refine, AnnealSchedule, GainConfig, Pass};
 use sparcs_core::search::SearchCtx;
 use sparcs_core::{PartitionOptions, PartitionedDesign};
 use sparcs_multilevel::{partition_multilevel, MultilevelConfig};
 
-/// An iterative improvement pass over a seed partitioning. Implementations
-/// must preserve feasibility (precedence + resources + memory, as checked
-/// by [`Partitioning::validate`]) and never return a partitioning with
-/// higher design latency than the seed; they should poll the [`SearchCtx`]
-/// between rounds and return their best-so-far when stopped.
-pub trait Refinement: Send + Sync {
-    /// Short stable name, used in composed specs (`"kl"`, `"anneal"`).
-    fn name(&self) -> &'static str;
-
-    /// Full rendering of the pass's configuration, for cache keys. Every
-    /// field that influences the result must appear (RNG seeds and
-    /// temperature schedules included), so equal keys mean equal outputs.
-    fn config_key(&self) -> String;
-
-    /// Improves `seed` for the context's graph and architecture.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowError`]; a pass with nothing to improve returns the seed.
-    fn refine(
-        &self,
-        seed: &Partitioning,
-        ctx: &DesignContext,
-        search: &SearchCtx,
-    ) -> Result<Partitioning, FlowError>;
-
-    /// The memory-accounting convention this pass's feasibility checks
-    /// use; a [`Seeded`] chain reports its last pass's mode as the whole
-    /// composition's (see [`PartitionStrategy::memory_mode`]).
-    fn memory_mode(&self) -> MemoryMode {
-        MemoryMode::Net
-    }
-}
-
-/// The Kernighan–Lin-style move/swap refinement pass
-/// ([`sparcs_core::refine::kl_refine`]) behind the [`Refinement`] trait.
-///
-/// The steepest-descent pass is followed by the true gain-sequence chain
-/// search ([`sparcs_core::refine::kl_refine_gains`]): descent stops at the
-/// first round with no strictly improving single move, and the chain
-/// search then walks *through* zero-gain plateaus via tentative move
-/// sequences with best-prefix commit — the fix for the
-/// `kl_gap_closed ≈ 0` plateau the DCT packing exposed. Descent alone
-/// stays callable as [`sparcs_core::refine::kl_refine`], the reference the
-/// refinement tests exercise directly.
+/// One refinement pass of a [`Seeded`] chain: a [`Pass`] of
+/// [`sparcs_core::refine`] and the memory accounting its feasibility checks
+/// use. Every pass preserves feasibility and never returns a partitioning
+/// with higher design latency than its seed; it polls the [`SearchCtx`]
+/// and returns its best-so-far when stopped.
 #[derive(Debug, Clone)]
-pub struct KlRefiner {
-    /// Maximum steepest-descent rounds (each applies the single best
-    /// improving move or swap).
-    pub max_rounds: usize,
-    /// Gain-sequence knobs (chain length, scan caps).
-    pub gain_config: GainConfig,
+pub struct Refiner {
+    /// The pass and its configuration.
+    pub pass: Pass,
     /// Memory mode used when checking candidate feasibility.
     pub memory_mode: MemoryMode,
 }
 
-impl Default for KlRefiner {
-    fn default() -> Self {
-        KlRefiner {
-            max_rounds: 64,
-            gain_config: GainConfig::default(),
-            memory_mode: MemoryMode::Net,
+impl Refiner {
+    /// The pass a spec names, at its default configuration: `kl`
+    /// (move/swap descent, then gain-sequence chains), `fm` (gain-sequence
+    /// chains alone) or `anneal` (simulated annealing); `None` for any
+    /// other name.
+    pub fn named(name: &str, memory_mode: MemoryMode) -> Option<Self> {
+        let pass = match name {
+            "kl" => Pass::kl(GainConfig::default()),
+            "fm" => Pass::Fm(GainConfig::default()),
+            "anneal" => Pass::Anneal(AnnealSchedule::default()),
+            _ => return None,
+        };
+        Some(Refiner { pass, memory_mode })
+    }
+
+    /// The pass's spec name (`kl`, `fm` or `anneal`).
+    pub fn name(&self) -> &'static str {
+        match self.pass {
+            Pass::Kl { .. } => "kl",
+            Pass::Fm(_) => "fm",
+            Pass::Anneal(_) => "anneal",
         }
-    }
-}
-
-impl Refinement for KlRefiner {
-    fn name(&self) -> &'static str {
-        "kl"
-    }
-
-    fn config_key(&self) -> String {
-        format!("{self:?}")
-    }
-
-    fn refine(
-        &self,
-        seed: &Partitioning,
-        ctx: &DesignContext,
-        search: &SearchCtx,
-    ) -> Result<Partitioning, FlowError> {
-        let descended = kl_refine(
-            &ctx.graph,
-            &ctx.arch,
-            self.memory_mode,
-            seed,
-            self.max_rounds,
-            search,
-        )?;
-        Ok(kl_refine_gains(
-            &ctx.graph,
-            &ctx.arch,
-            self.memory_mode,
-            &descended,
-            &self.gain_config,
-            search,
-        )?)
-    }
-
-    fn memory_mode(&self) -> MemoryMode {
-        self.memory_mode
-    }
-}
-
-/// The pure gain-sequence (Fiduccia–Mattheyses-style) refinement pass
-/// ([`sparcs_core::refine::kl_refine_gains`]) behind the [`Refinement`]
-/// trait: tentative move chains through zero-gain (and temporarily
-/// infeasible) states, best-prefix commit. Spec name `fm`.
-#[derive(Debug, Clone, Default)]
-pub struct GainRefiner {
-    /// Chain length, pass count and scan caps.
-    pub config: GainConfig,
-    /// Memory mode used when checking candidate feasibility.
-    pub memory_mode: MemoryMode,
-}
-
-impl Refinement for GainRefiner {
-    fn name(&self) -> &'static str {
-        "fm"
-    }
-
-    fn config_key(&self) -> String {
-        format!("{self:?}")
-    }
-
-    fn refine(
-        &self,
-        seed: &Partitioning,
-        ctx: &DesignContext,
-        search: &SearchCtx,
-    ) -> Result<Partitioning, FlowError> {
-        Ok(kl_refine_gains(
-            &ctx.graph,
-            &ctx.arch,
-            self.memory_mode,
-            seed,
-            &self.config,
-            search,
-        )?)
-    }
-
-    fn memory_mode(&self) -> MemoryMode {
-        self.memory_mode
-    }
-}
-
-/// The simulated-annealing refinement pass
-/// ([`sparcs_core::refine::anneal_refine`]) behind the [`Refinement`]
-/// trait. Deterministic for a fixed [`AnnealSchedule`] (seeded RNG), and
-/// the schedule is part of the config key so caching stays sound.
-#[derive(Debug, Clone, Default)]
-pub struct AnnealRefiner {
-    /// Temperature schedule and RNG seed.
-    pub schedule: AnnealSchedule,
-    /// Memory mode used when checking candidate feasibility.
-    pub memory_mode: MemoryMode,
-}
-
-impl Refinement for AnnealRefiner {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn config_key(&self) -> String {
-        format!("{self:?}")
-    }
-
-    fn refine(
-        &self,
-        seed: &Partitioning,
-        ctx: &DesignContext,
-        search: &SearchCtx,
-    ) -> Result<Partitioning, FlowError> {
-        Ok(anneal_refine(
-            &ctx.graph,
-            &ctx.arch,
-            self.memory_mode,
-            seed,
-            &self.schedule,
-            search,
-        )?)
-    }
-
-    fn memory_mode(&self) -> MemoryMode {
-        self.memory_mode
     }
 }
 
@@ -241,12 +91,12 @@ pub struct Seeded {
     /// The constructive seed strategy.
     pub seed: Box<dyn PartitionStrategy>,
     /// Refinement passes, applied in order.
-    pub passes: Vec<Box<dyn Refinement>>,
+    pub passes: Vec<Refiner>,
 }
 
 impl Seeded {
     /// Composes a seed with a refinement chain.
-    pub fn new(seed: Box<dyn PartitionStrategy>, passes: Vec<Box<dyn Refinement>>) -> Self {
+    pub fn new(seed: Box<dyn PartitionStrategy>, passes: Vec<Refiner>) -> Self {
         Seeded { seed, passes }
     }
 }
@@ -280,7 +130,8 @@ impl PartitionStrategy for Seeded {
         let mut partitioning = seed_design.partitioning.clone();
         for pass in &self.passes {
             truncated |= search.stop_requested();
-            partitioning = pass.refine(&partitioning, ctx, search)?;
+            let (g, arch) = (&ctx.graph, &ctx.arch);
+            partitioning = refine(g, arch, pass.memory_mode, &partitioning, &pass.pass, search)?;
         }
         truncated |= search.stop_requested();
         let mut design = design_from_partitioning(ctx, partitioning)?;
@@ -309,7 +160,7 @@ impl PartitionStrategy for Seeded {
             key.push('\u{1f}');
             key.push_str(pass.name());
             key.push(':');
-            key.push_str(&pass.config_key());
+            key.push_str(&format!("{pass:?}"));
         }
         Some(key)
     }
@@ -320,7 +171,7 @@ impl PartitionStrategy for Seeded {
         // composed design should be judged by; a bare seed reports its own.
         self.passes
             .last()
-            .map_or_else(|| self.seed.memory_mode(), |pass| pass.memory_mode())
+            .map_or_else(|| self.seed.memory_mode(), |pass| pass.memory_mode)
     }
 }
 
@@ -509,23 +360,15 @@ impl Portfolio {
     /// feasibility checks and the portfolio's own validation.
     pub fn standard(options: PartitionOptions) -> Self {
         let memory_mode = options.model.memory_mode;
+        let list_with = |pass| {
+            let passes = Refiner::named(pass, memory_mode).into_iter().collect();
+            PortfolioEntry::racer(Box::new(Seeded::new(Box::new(ListStrategy::new()), passes)))
+        };
         let mut portfolio = Self::new(vec![
             PortfolioEntry::decisive(Box::new(IlpStrategy::at_bound_offset(options.clone(), 0))),
             PortfolioEntry::racer(Box::new(IlpStrategy::from_bound_offset(options.clone(), 1))),
-            PortfolioEntry::racer(Box::new(Seeded::new(
-                Box::new(ListStrategy::new()),
-                vec![Box::new(KlRefiner {
-                    memory_mode,
-                    ..KlRefiner::default()
-                })],
-            ))),
-            PortfolioEntry::racer(Box::new(Seeded::new(
-                Box::new(ListStrategy::new()),
-                vec![Box::new(AnnealRefiner {
-                    memory_mode,
-                    ..AnnealRefiner::default()
-                })],
-            ))),
+            list_with("kl"),
+            list_with("anneal"),
             PortfolioEntry::racer(Box::new(MultilevelStrategy::with_options(options))),
         ]);
         portfolio.memory_mode = memory_mode;
@@ -645,28 +488,14 @@ pub fn parse_spec(
             )))
         }
     };
-    let mut passes: Vec<Box<dyn Refinement>> = Vec::new();
+    let mut passes = Vec::new();
     for pass in parts {
-        passes.push(match pass {
-            "kl" => Box::new(KlRefiner {
-                memory_mode,
-                ..KlRefiner::default()
-            }) as Box<dyn Refinement>,
-            "anneal" => Box::new(AnnealRefiner {
-                memory_mode,
-                ..AnnealRefiner::default()
-            }),
-            "fm" => Box::new(GainRefiner {
-                memory_mode,
-                ..GainRefiner::default()
-            }),
-            other => {
-                return Err(FlowError::Spec(format!(
-                    "unknown refinement pass {other:?} in spec {spec:?} \
-                     (expected kl, anneal, or fm)"
-                )))
-            }
-        });
+        passes.push(Refiner::named(pass, memory_mode).ok_or_else(|| {
+            FlowError::Spec(format!(
+                "unknown refinement pass {pass:?} in spec {spec:?} \
+                 (expected kl, anneal, or fm)"
+            ))
+        })?);
     }
     if passes.is_empty() {
         Ok(seed)
@@ -737,6 +566,17 @@ mod tests {
         }
         let portfolio = Portfolio::standard(edge);
         assert_eq!(portfolio.memory_mode, MemoryMode::Edge);
+    }
+
+    #[test]
+    fn standard_portfolio_races_the_named_refinement_chains() {
+        let portfolio = Portfolio::standard(PartitionOptions::default());
+        let names: Vec<String> = portfolio
+            .entries
+            .iter()
+            .map(|e| e.strategy.name())
+            .collect();
+        assert_eq!(names[2..], ["list+kl", "list+anneal", "multilevel"]);
     }
 
     #[test]
