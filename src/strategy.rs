@@ -128,9 +128,9 @@ impl PartitionStrategy for Seeded {
         // that visible in the stats, like a cancelled exact solve.
         let mut truncated = seed_design.stats.cancelled;
         let mut partitioning = seed_design.partitioning.clone();
+        let (g, arch) = (&ctx.graph, &ctx.arch);
         for pass in &self.passes {
             truncated |= search.stop_requested();
-            let (g, arch) = (&ctx.graph, &ctx.arch);
             partitioning = refine(g, arch, pass.memory_mode, &partitioning, &pass.pass, search)?;
         }
         truncated |= search.stop_requested();
