@@ -313,6 +313,44 @@ mod tests {
         }
     }
 
+    /// The whole ranked DCT exploration as (strategy, arch, maxN,
+    /// rounding, seq, N, k, latency ns, total ns) rows.
+    #[test]
+    fn dct_exploration_ranking_is_pinned() {
+        let exploration = dct_exploration(245_760);
+        let rows: Vec<_> = exploration
+            .candidates
+            .iter()
+            .map(|c| {
+                (
+                    c.strategy.as_str(),
+                    c.arch.as_str(),
+                    c.max_partitions,
+                    sparcs::flow::rounding_label(c.rounding),
+                    c.sequencing.to_string(),
+                    c.partition_count,
+                    c.k,
+                    c.latency_ns,
+                    c.total_ns,
+                )
+            })
+            .collect();
+        let board = "XC4044/WildForce";
+        #[rustfmt::skip]
+        let expected = [
+            ("ilp", board, None, "exact", "IDH", 3, 2048, 300_008_440, 2_380_768_000),
+            ("ilp", board, None, "pow2", "IDH", 3, 2048, 300_008_440, 2_380_768_000),
+            ("list", board, None, "pow2", "IDH", 3, 1024, 300_010_960, 2_999_264_000),
+            ("list", board, None, "exact", "IDH", 3, 1820, 300_010_960, 3_019_735_200),
+            ("ilp", board, None, "exact", "FDH", 3, 2048, 300_008_440, 38_074_214_400),
+            ("ilp", board, None, "pow2", "FDH", 3, 2048, 300_008_440, 38_074_214_400),
+            ("list", board, None, "exact", "FDH", 3, 1820, 300_010_960, 43_493_529_600),
+            ("list", board, None, "pow2", "FDH", 3, 1024, 300_010_960, 74_693_529_600),
+        ]
+        .map(|(s, a, cap, r, q, n, k, lat, tot)| (s, a, cap, r, q.to_string(), n, k, lat, tot));
+        assert_eq!(rows, expected);
+    }
+
     #[test]
     fn render_contains_all_rows() {
         let exp = experiment();

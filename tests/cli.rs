@@ -381,3 +381,104 @@ fn analyze_reports_facts_and_convicts_without_solving() {
     assert!(stdout(&out).contains("width-mismatch"), "{}", stdout(&out));
     assert!(stderr(&out).contains("error-class"), "{}", stderr(&out));
 }
+
+/// The parts of an `explore` table that must not drift: the rank rows, the
+/// `skipped:` lines and the `coverage:` line without its `jobs = N` suffix
+/// (the worker count comes from the environment and never changes a row).
+fn explore_table(extra: &[&str]) -> String {
+    let graph = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/graphs/fig4.tg");
+    let mut args = vec!["explore", graph];
+    args.extend_from_slice(extra);
+    let out = sparcs(&args);
+    assert!(out.status.success(), "{extra:?}: {}", stderr(&out));
+    stdout(&out)
+        .lines()
+        .filter(|l| {
+            l.starts_with(|c: char| c.is_ascii_digit())
+                || l.starts_with("coverage:")
+                || l.starts_with("  skipped:")
+        })
+        .map(|l| l.split(", jobs = ").next().unwrap_or(l))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn explore_tables_are_pinned() {
+    let ilp_list_1e6 = "\
+1       1000000         ilp XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.9160
+2       1000000         ilp XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+3       1000000        list XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.9160
+4       1000000        list XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+5       1000000         ilp XC4044/WildForce   exact  FDH    2    -    16384     200000700      13.1000
+6       1000000         ilp XC4044/WildForce    pow2  FDH    2    -    16384     200000700      13.1000
+7       1000000        list XC4044/WildForce   exact  FDH    2    -    16384     200000700      13.1000
+8       1000000        list XC4044/WildForce    pow2  FDH    2    -    16384     200000700      13.1000";
+    assert_eq!(
+        explore_table(&[]),
+        format!(
+            "{ilp_list_1e6}\n\
+coverage: 2/2 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 0 static-pruned)"
+        )
+    );
+    assert_eq!(
+        explore_table(&["--max-partitions", "1,4"]),
+        "\
+1       1000000         ilp XC4044/WildForce   exact  IDH    2    4    16384     200000700       0.9160
+2       1000000         ilp XC4044/WildForce    pow2  IDH    2    4    16384     200000700       0.9160
+3       1000000        list XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.9160
+4       1000000        list XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+5       1000000         ilp XC4044/WildForce   exact  FDH    2    4    16384     200000700      13.1000
+6       1000000         ilp XC4044/WildForce    pow2  FDH    2    4    16384     200000700      13.1000
+7       1000000        list XC4044/WildForce   exact  FDH    2    -    16384     200000700      13.1000
+8       1000000        list XC4044/WildForce    pow2  FDH    2    -    16384     200000700      13.1000
+coverage: 2/3 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 1 static-pruned)
+  skipped: ilp on XC4044/WildForce: statically pruned [partition-count-bound]: partition-count lower bound 2 exceeds the cap 1"
+    );
+    assert_eq!(
+        explore_table(&["--partitioner", "list+kl"]),
+        "\
+1       1000000     list+kl XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.9160
+2       1000000     list+kl XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+3       1000000     list+kl XC4044/WildForce   exact  FDH    2    -    16384     200000700      13.1000
+4       1000000     list+kl XC4044/WildForce    pow2  FDH    2    -    16384     200000700      13.1000
+coverage: 1/1 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 0 static-pruned)"
+    );
+    assert_eq!(
+        explore_table(&["--arch", "xc4044", "--arch", "tm"]),
+        "\
+1       1000000         ilp Time-Multiplexed   exact  FDH    2    -    16384         10700       0.7006
+2       1000000         ilp Time-Multiplexed    pow2  FDH    2    -    16384         10700       0.7006
+3       1000000        list Time-Multiplexed   exact  FDH    2    -    16384         10700       0.7006
+4       1000000        list Time-Multiplexed    pow2  FDH    2    -    16384         10700       0.7006
+5       1000000         ilp Time-Multiplexed   exact  IDH    2    -    16384         10700       0.7160
+6       1000000         ilp Time-Multiplexed    pow2  IDH    2    -    16384         10700       0.7160
+7       1000000        list Time-Multiplexed   exact  IDH    2    -    16384         10700       0.7160
+8       1000000        list Time-Multiplexed    pow2  IDH    2    -    16384         10700       0.7160
+9       1000000         ilp XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.9160
+10      1000000         ilp XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+11      1000000        list XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.9160
+12      1000000        list XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+13      1000000         ilp XC4044/WildForce   exact  FDH    2    -    16384     200000700      13.1000
+14      1000000         ilp XC4044/WildForce    pow2  FDH    2    -    16384     200000700      13.1000
+15      1000000        list XC4044/WildForce   exact  FDH    2    -    16384     200000700      13.1000
+16      1000000        list XC4044/WildForce    pow2  FDH    2    -    16384     200000700      13.1000
+coverage: 4/4 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 0 static-pruned)"
+    );
+    assert_eq!(
+        explore_table(&["--workload", "10000,1000000"]),
+        format!(
+            "\
+1         10000         ilp XC4044/WildForce   exact  FDH    2    -    16384     200000700       0.2070
+2         10000         ilp XC4044/WildForce    pow2  FDH    2    -    16384     200000700       0.2070
+3         10000        list XC4044/WildForce   exact  FDH    2    -    16384     200000700       0.2070
+4         10000        list XC4044/WildForce    pow2  FDH    2    -    16384     200000700       0.2070
+5         10000         ilp XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.2164
+6         10000         ilp XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.2164
+7         10000        list XC4044/WildForce   exact  IDH    2    -    16384     200000700       0.2164
+8         10000        list XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.2164
+{ilp_list_1e6}
+coverage: 2/2 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 0 static-pruned)"
+        )
+    );
+}
