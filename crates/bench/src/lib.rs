@@ -11,7 +11,7 @@
 
 use serde::Serialize;
 use sparcs::casestudy::DctExperiment;
-use sparcs::flow::{Exploration, ExploreSpace, FlowSession};
+use sparcs::flow::{Exploration, ExploreSpace, FlowSession, IlpStrategy, ListStrategy};
 use sparcs_core::fission::FissionAnalysis;
 use sparcs_core::model::ModelConfig;
 use sparcs_core::PartitionOptions;
@@ -151,13 +151,16 @@ pub fn dct_exploration(workload: u64) -> Exploration {
     let exp = experiment();
     let session = FlowSession::new(exp.dct.graph.clone(), exp.arch.clone());
     let mut space = ExploreSpace::for_workload(workload);
-    space.ilp_options = PartitionOptions {
-        model: ModelConfig {
-            declared_symmetry: exp.dct.symmetry_groups.clone(),
-            ..ModelConfig::default()
-        },
-        ..PartitionOptions::default()
-    };
+    space.strategies = vec![
+        Box::new(IlpStrategy::with_options(PartitionOptions {
+            model: ModelConfig {
+                declared_symmetry: exp.dct.symmetry_groups.clone(),
+                ..ModelConfig::default()
+            },
+            ..PartitionOptions::default()
+        })),
+        Box::new(ListStrategy),
+    ];
     session
         .explore(&space)
         .expect("the DCT graph always has feasible candidates")
@@ -317,37 +320,35 @@ mod tests {
     /// rounding, seq, N, k, latency ns, total ns) rows.
     #[test]
     fn dct_exploration_ranking_is_pinned() {
+        use sparcs_core::fission::BlockRounding::{Exact, PowerOfTwo as Pow2};
+        use sparcs_core::SequencingStrategy::{Fdh, Idh};
         let exploration = dct_exploration(245_760);
         let rows: Vec<_> = exploration
             .candidates
             .iter()
             .map(|c| {
-                (
-                    c.strategy.as_str(),
-                    c.arch.as_str(),
+                let id = (
+                    &*c.strategy,
+                    &*c.arch,
                     c.max_partitions,
-                    sparcs::flow::rounding_label(c.rounding),
-                    c.sequencing.to_string(),
-                    c.partition_count,
-                    c.k,
-                    c.latency_ns,
-                    c.total_ns,
-                )
+                    c.rounding,
+                    c.sequencing,
+                );
+                (id, c.partition_count, c.k, c.latency_ns, c.total_ns)
             })
             .collect();
         let board = "XC4044/WildForce";
         #[rustfmt::skip]
         let expected = [
-            ("ilp", board, None, "exact", "IDH", 3, 2048, 300_008_440, 2_380_768_000),
-            ("ilp", board, None, "pow2", "IDH", 3, 2048, 300_008_440, 2_380_768_000),
-            ("list", board, None, "pow2", "IDH", 3, 1024, 300_010_960, 2_999_264_000),
-            ("list", board, None, "exact", "IDH", 3, 1820, 300_010_960, 3_019_735_200),
-            ("ilp", board, None, "exact", "FDH", 3, 2048, 300_008_440, 38_074_214_400),
-            ("ilp", board, None, "pow2", "FDH", 3, 2048, 300_008_440, 38_074_214_400),
-            ("list", board, None, "exact", "FDH", 3, 1820, 300_010_960, 43_493_529_600),
-            ("list", board, None, "pow2", "FDH", 3, 1024, 300_010_960, 74_693_529_600),
-        ]
-        .map(|(s, a, cap, r, q, n, k, lat, tot)| (s, a, cap, r, q.to_string(), n, k, lat, tot));
+            (("ilp", board, None, Exact, Idh), 3, 2048, 300_008_440, 2_380_768_000),
+            (("ilp", board, None, Pow2, Idh), 3, 2048, 300_008_440, 2_380_768_000),
+            (("list", board, None, Pow2, Idh), 3, 1024, 300_010_960, 2_999_264_000),
+            (("list", board, None, Exact, Idh), 3, 1820, 300_010_960, 3_019_735_200),
+            (("ilp", board, None, Exact, Fdh), 3, 2048, 300_008_440, 38_074_214_400),
+            (("ilp", board, None, Pow2, Fdh), 3, 2048, 300_008_440, 38_074_214_400),
+            (("list", board, None, Exact, Fdh), 3, 1820, 300_010_960, 43_493_529_600),
+            (("list", board, None, Pow2, Fdh), 3, 1024, 300_010_960, 74_693_529_600),
+        ];
         assert_eq!(rows, expected);
     }
 

@@ -11,7 +11,7 @@
 //!   done/failed/cancelled) with lease-based orphan recovery and
 //!   exponential-backoff retry.
 //! - [`store`] — a disk-backed content-addressed result store shared
-//!   across daemons; the in-memory `PartitionCache` becomes a
+//!   across daemons; the in-memory summary memo becomes a
 //!   read-through tier above it.
 //! - [`server`] — workers, the newline-delimited-JSON protocol,
 //!   admission control, and graceful degradation (deadline-expired

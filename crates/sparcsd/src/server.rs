@@ -14,12 +14,13 @@
 //! ## Serving tiers
 //!
 //! A claimed job is answered from the cheapest tier that can prove its
-//! answer: the in-memory [`PartitionCache`], then the shared disk
-//! [`ResultStore`], then a fresh solve. *Every* tier passes the mandatory
-//! `sparcs_audit` certification gate before a byte crosses the wire — a
-//! cached or stored assignment is rebuilt into a full design, re-audited,
-//! and its numbers compared against the stored ones; any disagreement is
-//! a miss, never a served lie.
+//! answer: the in-memory [`Memo`], then the shared disk [`ResultStore`],
+//! then a fresh solve. Both cache tiers hold the same [`ResultSummary`].
+//! *Every* tier passes the mandatory `sparcs_audit` certification gate
+//! before a byte crosses the wire — a cached or stored assignment is
+//! rebuilt into a full design, re-audited, and its numbers compared
+//! against the remembered ones; any disagreement is a miss, never a served
+//! lie.
 //!
 //! ## Determinism rule
 //!
@@ -43,7 +44,7 @@ use crate::faults;
 use crate::graph::{backoff_ms, JobGraph, JobState, DEFAULT_MAX_ATTEMPTS};
 use crate::journal::{Event, Journal};
 use crate::store::ResultStore;
-use sparcs::cache::PartitionCache;
+use sparcs::cache::{CacheKey, Memo};
 use sparcs::core::model::ModelConfig;
 use sparcs::core::partitioning::{MemoryMode, PartitionId, Partitioning};
 use sparcs::core::search::{CancelToken, SearchCtx};
@@ -60,7 +61,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -150,7 +151,8 @@ struct Shared {
     /// Cancel tokens of currently-running solves, for `Cancel` and lease
     /// reaping.
     cancels: Mutex<HashMap<u64, CancelToken>>,
-    cache: PartitionCache,
+    /// The in-memory tier: this daemon's served summaries.
+    cache: Memo<CacheKey, ResultSummary>,
     store: ResultStore,
     replayed: u64,
     config: Config,
@@ -216,12 +218,14 @@ fn certified_bound(ctx: &DesignContext, mode: MemoryMode) -> u64 {
         .unwrap_or(0)
 }
 
+/// The servable summary of a certified design whose optimality `proven`
+/// says was (or was not) proven.
 fn summarize(
     prepared: &Prepared,
     design: &PartitionedDesign,
     strategy_name: &str,
+    proven: bool,
 ) -> ResultSummary {
-    let proven = design.stats.proven_optimal;
     let bound_ns = if proven {
         design.latency_ns
     } else {
@@ -247,18 +251,17 @@ fn summarize(
 
 /// A strategy that "solves" by replaying a known assignment — how cached
 /// and stored results re-enter the standard flow so the mandatory audit
-/// gate re-certifies them before they are served. Never memoizable
-/// (`config_key` is `None`): it is the *consumer* of the cache, not a
-/// producer.
+/// gate re-certifies them before they are served. Never memoizable (the
+/// default `config_key` of `None`): it is the *consumer* of the cache, not
+/// a producer.
 struct ReplayStrategy {
-    name: String,
     partitioning: Partitioning,
     mode: MemoryMode,
 }
 
 impl PartitionStrategy for ReplayStrategy {
     fn name(&self) -> String {
-        self.name.clone()
+        "replay".into()
     }
 
     fn partition(
@@ -267,10 +270,6 @@ impl PartitionStrategy for ReplayStrategy {
         _search: &SearchCtx,
     ) -> Result<PartitionedDesign, FlowError> {
         design_from_partitioning(ctx, self.partitioning.clone())
-    }
-
-    fn config_key(&self) -> Option<String> {
-        None
     }
 
     fn memory_mode(&self) -> MemoryMode {
@@ -283,36 +282,34 @@ impl PartitionStrategy for ReplayStrategy {
 /// number. Returns the servable summary only when the rebuilt numbers
 /// match the remembered ones exactly; any disagreement — failed audit,
 /// infeasible rebuild, drifted delays — is a miss and the caller
-/// re-solves. Also returns the certified rebuilt design for promotion.
-fn recertify(
-    prepared: &Prepared,
-    remembered: &ResultSummary,
-) -> Option<(ResultSummary, PartitionedDesign)> {
+/// re-solves.
+fn recertify(prepared: &Prepared, remembered: &ResultSummary) -> Option<ResultSummary> {
     let ids: Vec<PartitionId> = remembered
         .assignment
         .iter()
         .map(|&p| PartitionId(p))
         .collect();
     let replay = ReplayStrategy {
-        name: remembered.strategy.clone(),
         partitioning: Partitioning::new(ids),
         mode: prepared.strategy.memory_mode(),
     };
-    let flow = prepared
+    let design = prepared
         .session
         .partition_with_search(&replay, &SearchCtx::unbounded())
-        .ok()?;
-    let mut design = flow.design;
+        .ok()?
+        .design;
     let matches = design.latency_ns == remembered.latency_ns
         && design.sum_delay_ns == remembered.sum_delay_ns
         && design.partition_delays_ns == remembered.partition_delays_ns
         && design.partitioning.partition_count() == remembered.partitions;
-    if !matches {
-        return None;
-    }
-    design.stats.proven_optimal = remembered.proven_optimal;
-    let summary = summarize(prepared, &design, &remembered.strategy);
-    Some((summary, design))
+    matches.then(|| {
+        summarize(
+            prepared,
+            &design,
+            &remembered.strategy,
+            remembered.proven_optimal,
+        )
+    })
 }
 
 /// How one claim attempt ended.
@@ -342,19 +339,22 @@ fn execute(shared: &Shared, job: u64, spec: &JobSpec, token: CancelToken) -> Out
     let key = statement_key(prepared.session.context(), prepared.strategy.as_ref());
 
     if let Some(k) = &key {
-        // Tier 1: in-memory (this daemon's previous answers).
-        if let Some(hit) = shared.cache.get(k) {
-            let remembered = summarize(&prepared, &hit, &prepared.strategy.name());
-            if let Some((summary, _)) = recertify(&prepared, &remembered) {
-                progress(shared, job, "served from the in-memory cache");
-                return Outcome::Served(summary);
-            }
-        }
-        // Tier 2: the shared disk store (any daemon's previous answers).
-        if let Some(stored) = shared.store.load(k.as_str()) {
-            if let Some((summary, design)) = recertify(&prepared, &stored) {
-                progress(shared, job, "served from the shared result store");
-                shared.cache.insert(k.clone(), Arc::new(design));
+        // Tier 1: in-memory (this daemon's previous answers); tier 2: the
+        // shared disk store (any daemon's previous answers), promoted into
+        // tier 1 on a hit.
+        for from_store in [false, true] {
+            let remembered = if from_store {
+                shared.store.load(k.as_str())
+            } else {
+                shared.cache.get(k)
+            };
+            if let Some(summary) = remembered.and_then(|r| recertify(&prepared, &r)) {
+                if from_store {
+                    progress(shared, job, "served from the shared result store");
+                    shared.cache.insert(k.clone(), summary.clone());
+                } else {
+                    progress(shared, job, "served from the in-memory cache");
+                }
                 return Outcome::Served(summary);
             }
         }
@@ -372,8 +372,12 @@ fn execute(shared: &Shared, job: u64, spec: &JobSpec, token: CancelToken) -> Out
         Err(e) => return Outcome::Permanent(e.to_string()),
     };
     faults::crash_point("worker.solve.post");
-    let strategy_name = flow.strategy.clone();
-    let summary = summarize(&prepared, &flow.design, &strategy_name);
+    let summary = summarize(
+        &prepared,
+        &flow.design,
+        &flow.strategy,
+        flow.design.stats.proven_optimal,
+    );
 
     // Publish only deterministic results: unbudgeted, never cancelled.
     let deterministic =
@@ -386,9 +390,7 @@ fn execute(shared: &Shared, job: u64, spec: &JobSpec, token: CancelToken) -> Out
                 // exactly the recovery path the fault tests exercise.
                 return Outcome::Transient(format!("result store publish failed: {e}"));
             }
-            shared
-                .cache
-                .insert(k.clone(), Arc::new(flow.design.clone()));
+            shared.cache.insert(k.clone(), summary.clone());
         }
     }
     Outcome::Served(summary)
@@ -774,7 +776,7 @@ pub fn run(config: Config) -> io::Result<()> {
         wakeup: Condvar::new(),
         shutdown: AtomicBool::new(false),
         cancels: Mutex::new(HashMap::new()),
-        cache: PartitionCache::new(),
+        cache: Memo::new(),
         store,
         replayed,
         config,
@@ -886,10 +888,16 @@ mod tests {
             .session
             .partition_with_search(prepared.strategy.as_ref(), &SearchCtx::unbounded())
             .expect("solves");
-        let honest = summarize(&prepared, &flow.design, "ilp");
-        assert!(
-            recertify(&prepared, &honest).is_some(),
-            "an honest summary re-certifies"
+        let honest = summarize(
+            &prepared,
+            &flow.design,
+            "ilp",
+            flow.design.stats.proven_optimal,
+        );
+        assert_eq!(
+            recertify(&prepared, &honest).as_ref(),
+            Some(&honest),
+            "an honest summary re-certifies unchanged"
         );
         let mut lie = honest.clone();
         lie.latency_ns -= 1;

@@ -1,9 +1,9 @@
 //! The disk-backed, content-addressed result store — the cross-process
-//! tier of the partition cache.
+//! tier of the daemon's result cache.
 //!
 //! Results are keyed by the *full rendered problem statement* (the same
-//! [`sparcs::cache::CacheKey`] material the in-memory `PartitionCache`
-//! uses), so two daemons sharing a store directory deduplicate one
+//! [`sparcs::cache::CacheKey`] the in-memory tier uses, holding the same
+//! [`ResultSummary`]), so two daemons sharing a store directory deduplicate one
 //! another's solves. The filename is only a 64-bit FNV of the statement;
 //! the statement itself is embedded in every file and compared on read, so
 //! a filename collision degrades to a store miss, never to serving a

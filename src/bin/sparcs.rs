@@ -718,39 +718,41 @@ fn real_main() -> Result<(), CliError> {
         "explore" => {
             let s = session(&f)?;
             let mut space = ExploreSpace::for_workloads(f.workload_grid());
-            space.ilp_options = partition_options(&f);
-            // The options cap is the per-candidate axis below, not a shared
-            // floor for every candidate.
-            space.ilp_options.max_partitions = None;
             if f.edge_memory {
                 space.memory_mode = MemoryMode::Edge;
             }
             // The flow flags narrow or widen the candidate space instead of
-            // being ignored: --partitioner pins the strategy axis, --pow2
-            // the rounding axis, --strategy the sequencing axis;
-            // --max-partitions and --arch *add* axis points.
-            match f.partitioner.as_deref() {
-                Some("ilp") => space.include_list = false,
-                Some("list") => space.include_ilp = false,
-                Some(spec) => {
-                    // A composed spec pins the strategy axis to itself. The
-                    // cap axis below only feeds the built-in ILP candidates,
-                    // so a requested cap must reach the spec through its
-                    // options instead of being silently dropped — and a
-                    // *sweep* has no spec to fan over.
-                    space.include_ilp = false;
-                    space.include_list = false;
-                    space.specs = vec![spec.to_string()];
-                    if f.max_partitions.len() > 1 {
-                        return Err(CliError::Usage(
-                            "--max-partitions sweeps apply to the built-in ilp candidates; \
-                             a composed --partitioner spec takes a single cap"
-                                .into(),
-                        ));
+            // being ignored: --partitioner pins the strategy axis (default:
+            // ilp and list), --max-partitions sweeps every spec's cap, --pow2
+            // pins the rounding axis, --strategy the sequencing axis; --arch
+            // adds boards.
+            let specs = match f.partitioner.as_deref() {
+                Some(spec) => vec![spec],
+                None => vec!["ilp", "list"],
+            };
+            let caps: Vec<Option<u32>> = if f.max_partitions.is_empty() {
+                vec![None]
+            } else {
+                f.max_partitions.iter().map(|&n| Some(n)).collect()
+            };
+            let mut options = partition_options(&f);
+            let mut seen = std::collections::HashSet::new();
+            space.strategies.clear();
+            for spec in specs {
+                for &cap in &caps {
+                    options.max_partitions = cap;
+                    let strategy = parse_spec(spec, &options).map_err(|e| {
+                        CliError::Usage(format!("bad --partitioner: {e} (grammar: {SPEC_GRAMMAR})"))
+                    })?;
+                    // A spec the cap does not configure (`list`) renders the
+                    // same name and configuration at every cap — the
+                    // cache's own test of identity — and stays one
+                    // candidate.
+                    let identity = strategy.config_key().map(|key| (strategy.name(), key));
+                    if identity.is_none_or(|id| seen.insert(id)) {
+                        space.strategies.push(strategy);
                     }
-                    space.ilp_options.max_partitions = f.max_partitions.first().copied();
                 }
-                None => {}
             }
             if let Some(ms) = f.budget_ms {
                 space.budget = Some(Duration::from_millis(ms));
@@ -760,9 +762,6 @@ fn real_main() -> Result<(), CliError> {
             }
             if let Some(seq) = f.strategy {
                 space.sequencings = vec![seq];
-            }
-            if !f.max_partitions.is_empty() {
-                space.max_partitions = f.max_partitions.iter().map(|&n| Some(n)).collect();
             }
             if !f.archs.is_empty() {
                 space.architectures = f
@@ -821,10 +820,10 @@ fn real_main() -> Result<(), CliError> {
                 "coverage: {}/{} specs ranked ({} infeasible, {} invalid, {} fission-skipped, {} static-pruned), jobs = {}",
                 cov.ranked_specs,
                 cov.specs,
-                cov.skipped_infeasible,
-                cov.skipped_invalid,
-                cov.skipped_fission,
-                cov.skipped_static,
+                cov.skipped_infeasible(),
+                cov.skipped_invalid(),
+                cov.skipped_fission(),
+                cov.skipped_static(),
                 space.jobs,
             );
             for skip in &cov.skips {

@@ -29,9 +29,9 @@
 //!   workload runs at constant host memory while the [`TimeReport`]
 //!   accumulates incrementally.
 //! * [`FlowSession::explore`] evaluates a whole candidate space — every
-//!   strategy × architecture × partition-cap × block rounding × sequencing
-//!   choice — against a workload and returns the designs ranked by total
-//!   execution time: the paper's Table-1/Table-2 comparison as an API.
+//!   strategy × architecture × block rounding × sequencing choice — against
+//!   a workload and returns the certified designs ranked by total execution
+//!   time: the paper's Table-1/Table-2 comparison as an API.
 //!   Candidates are independent, so exploration fans them out across a
 //!   scoped thread pool ([`ExploreSpace::jobs`]) and memoizes the expensive
 //!   partitioning solves in a [`PartitionCache`]; the ranking is
@@ -273,10 +273,6 @@ pub struct DesignContext {
     pub arch: Architecture,
 }
 
-/// A built-in candidate of an [`ExploreSpace`]: the boxed strategy plus
-/// the partition cap it reports under.
-type BuiltinStrategy = (Box<dyn PartitionStrategy>, Option<u32>);
-
 /// How a temporal partitioning is produced — the unit of the strategy
 /// algebra. Implementations must return a design whose partitioning
 /// respects precedence (every edge runs forward in time) and per-partition
@@ -427,7 +423,7 @@ impl PartitionStrategy for IlpStrategy {
         // A deadline or cancellation token embedded directly in the solver
         // options makes the result depend on wall clock and token state,
         // not just the rendered key — such a solve must never be memoized
-        // (the `SearchCtx`-level bypass in `partition_cached` cannot see
+        // (the `SearchCtx`-level bypass in `certified_solve` cannot see
         // these fields).
         if self.options.solve.deadline.is_some() || self.options.solve.cancel.is_some() {
             return None;
@@ -498,23 +494,27 @@ pub fn statement_key(ctx: &DesignContext, strategy: &dyn PartitionStrategy) -> O
     ]))
 }
 
-/// Solves `ctx` with `strategy`, going through `cache` when a cache is
-/// given, the strategy can render its configuration, *and* the search is
-/// unbounded — a budgeted or cancellable solve is not a pure function of
-/// the problem statement, so its result must never be memoized.
-fn partition_cached(
+/// The one path by which a strategy's design leaves this module: solves
+/// through `cache` when one is given, the strategy renders its
+/// configuration *and* the search is unbounded (a budgeted solve is not a
+/// pure function of the problem), then runs the audit gate
+/// ([`PartitionedFlow::certified`]) on the cached or fresh design.
+fn certified_solve(
     ctx: &DesignContext,
     strategy: &dyn PartitionStrategy,
     cache: Option<&PartitionCache>,
     search: &SearchCtx,
 ) -> Result<Arc<PartitionedDesign>, FlowError> {
-    let cache = cache.filter(|_| search.is_unbounded());
-    match (cache, statement_key(ctx, strategy)) {
-        (Some(cache), Some(key)) => {
-            cache.get_or_insert_with(key, || strategy.partition(ctx, search).map(Arc::new))
-        }
-        _ => Ok(Arc::new(strategy.partition(ctx, search)?)),
-    }
+    let solve = || strategy.partition(ctx, search).map(Arc::new);
+    let design = match (
+        cache.filter(|_| search.is_unbounded()),
+        statement_key(ctx, strategy),
+    ) {
+        (Some(cache), Some(key)) => cache.get_or_insert_with(key, solve)?,
+        _ => solve()?,
+    };
+    PartitionedFlow::certified(ctx, &design, strategy.memory_mode())?;
+    Ok(design)
 }
 
 /// Assembles a [`PartitionedDesign`] (delays, latency, heuristic stats)
@@ -629,13 +629,12 @@ impl FlowSession {
         strategy: &dyn PartitionStrategy,
         search: &SearchCtx,
     ) -> Result<PartitionedFlow<'_>, FlowError> {
-        let design = strategy.partition(&self.ctx, search)?;
-        let flow = PartitionedFlow {
+        let design = certified_solve(&self.ctx, strategy, None, search)?;
+        Ok(PartitionedFlow {
             ctx: &self.ctx,
-            design,
+            design: Arc::unwrap_or_clone(design),
             strategy: strategy.name(),
-        };
-        flow.certified(strategy.memory_mode())
+        })
     }
 
     /// Like [`Self::partition_with`], but memoized: the solve is answered
@@ -652,19 +651,19 @@ impl FlowSession {
         strategy: &dyn PartitionStrategy,
         cache: &PartitionCache,
     ) -> Result<PartitionedFlow<'_>, FlowError> {
-        let design = partition_cached(&self.ctx, strategy, Some(cache), &SearchCtx::unbounded())?;
-        let flow = PartitionedFlow {
+        let design = certified_solve(&self.ctx, strategy, Some(cache), &SearchCtx::unbounded())?;
+        Ok(PartitionedFlow {
             ctx: &self.ctx,
-            design: (*design).clone(),
+            design: Arc::unwrap_or_clone(design),
             strategy: strategy.name(),
-        };
-        flow.certified(strategy.memory_mode())
+        })
     }
 
     /// Evaluates the whole candidate space — strategy × architecture ×
-    /// partition cap × rounding × sequencing — and returns the designs
-    /// ranked by total execution time for the given workload. See
-    /// [`ExploreSpace`].
+    /// rounding × sequencing — and returns the designs ranked by total
+    /// execution time for the given workload. See [`ExploreSpace`]. Every
+    /// design passes the same audit gate as [`Self::partition_with_search`]
+    /// before it is ranked.
     ///
     /// Candidates are independent; with [`ExploreSpace::jobs`] > 1 they are
     /// evaluated on a scoped thread pool, and with a cache attached
@@ -678,8 +677,9 @@ impl FlowSession {
     /// *Infeasible* candidates (no partitioning under the cap, memory too
     /// small, solver budget exhausted — see [`FlowError::is_infeasible`])
     /// are skipped and counted in [`Exploration::coverage`]. *Hard* errors
-    /// (malformed graph, broken model, numerical failure) indicate bugs,
-    /// not infeasibility, and are propagated — the first one in candidate
+    /// (malformed graph, broken model, numerical failure, a design failing
+    /// certification — [`FlowError::Certification`]) indicate bugs, not
+    /// infeasibility, and are propagated — the first one in candidate
     /// order. Returns [`FlowError::NoFeasibleCandidate`] when every
     /// candidate was skipped.
     pub fn explore(&self, space: &ExploreSpace) -> Result<Exploration, FlowError> {
@@ -697,24 +697,13 @@ impl FlowSession {
                 })
                 .collect()
         };
-        let builtins = space.builtin_strategies(&self.ctx.graph)?;
-        let strategies: Vec<(&dyn PartitionStrategy, Option<u32>)> = builtins
+        let specs: Vec<(&DesignContext, &dyn PartitionStrategy)> = contexts
             .iter()
-            .map(|(boxed, cap)| (boxed.as_ref(), *cap))
-            .chain(
-                space
-                    .extra_strategies
-                    .iter()
-                    .map(|boxed| (boxed.as_ref(), None)),
-            )
-            .collect();
-        let specs: Vec<(&DesignContext, &dyn PartitionStrategy, Option<u32>)> = contexts
-            .iter()
-            .flat_map(|ctx| strategies.iter().map(move |&(s, cap)| (ctx, s, cap)))
+            .flat_map(|ctx| space.strategies.iter().map(move |s| (ctx, s.as_ref())))
             .collect();
 
         // One deadline for the whole exploration, fixed up front so every
-        // worker races the same clock. `partition_cached` bypasses the
+        // worker races the same clock. `certified_solve` bypasses the
         // cache automatically for bounded searches.
         let search = match space.budget {
             Some(budget) => SearchCtx::with_timeout(budget),
@@ -723,8 +712,8 @@ impl FlowSession {
 
         // `scoped_map` hands every spec its own result slot, so outcomes
         // are ordered by spec position, never by thread scheduling.
-        let outcomes = scoped_map(space.jobs, &specs, |&(ctx, strategy, cap)| {
-            evaluate_spec(ctx, strategy, cap, space, &search)
+        let outcomes = scoped_map(space.jobs, &specs, |&(ctx, strategy)| {
+            evaluate_spec(ctx, strategy, space, &search)
         });
 
         let mut coverage = ExploreCoverage {
@@ -734,10 +723,6 @@ impl FlowSession {
         let mut candidates = Vec::new();
         for outcome in outcomes {
             let outcome = outcome?;
-            coverage.skipped_infeasible += usize::from(outcome.skipped_infeasible);
-            coverage.skipped_invalid += usize::from(outcome.skipped_invalid);
-            coverage.skipped_static += usize::from(outcome.skipped_static);
-            coverage.skipped_fission += outcome.skipped_fission;
             coverage.ranked_specs += usize::from(!outcome.candidates.is_empty());
             coverage.skips.extend(outcome.skips);
             candidates.extend(outcome.candidates);
@@ -857,30 +842,22 @@ impl fmt::Display for SkipReason {
     }
 }
 
-/// What one candidate spec (strategy × architecture × cap) contributed.
+/// What one candidate spec (strategy × architecture) contributed.
 #[derive(Default)]
 struct SpecOutcome {
     candidates: Vec<ExploredCandidate>,
-    /// The partitioner reported the spec infeasible.
-    skipped_infeasible: bool,
-    /// The partitioning failed architecture validation.
-    skipped_invalid: bool,
-    /// The static pre-pass convicted the spec before any solve.
-    skipped_static: bool,
-    /// Roundings whose fission analysis found the memory too small.
-    skipped_fission: usize,
-    /// Typed reasons for everything skipped above, labelled with the spec
-    /// (for [`ExploreCoverage::skips`]).
+    /// Typed reasons for everything skipped, labelled with the spec (for
+    /// [`ExploreCoverage::skips`]).
     skips: Vec<SkipReason>,
 }
 
-/// Evaluates one spec: partition (through the cache), validate, then fan
-/// the rounding × sequencing grid out over the one analyzed design —
-/// everything downstream shares it through [`Arc`] instead of cloning.
+/// Evaluates one spec: the certified solve (through the cache), validate,
+/// then fan the rounding × sequencing grid out over the one analyzed
+/// design — everything downstream shares it through [`Arc`] instead of
+/// cloning.
 fn evaluate_spec(
     ctx: &DesignContext,
     strategy: &dyn PartitionStrategy,
-    max_partitions: Option<u32>,
     space: &ExploreSpace,
     search: &SearchCtx,
 ) -> Result<SpecOutcome, FlowError> {
@@ -893,7 +870,7 @@ fn evaluate_spec(
     // spec's cap) means the exact solver could only have proven
     // infeasibility the slow way.
     let analysis = sparcs_analyze::analyze(&ctx.graph, &ctx.arch, space.memory_mode)?;
-    let cap = max_partitions.or(strategy.partition_cap());
+    let cap = strategy.partition_cap();
     if let Some(rule) = analysis.static_verdict(cap) {
         let detail = match rule {
             sparcs_analyze::rules::PARTITION_COUNT_BOUND => format!(
@@ -907,7 +884,6 @@ fn evaluate_spec(
             ),
             _ => "a task exceeds the device capacity at every partition count".into(),
         };
-        outcome.skipped_static = true;
         outcome.skips.push(SkipReason::Static {
             strategy: strategy.name(),
             arch: ctx.arch.name.clone(),
@@ -916,10 +892,9 @@ fn evaluate_spec(
         });
         return Ok(outcome);
     }
-    let design = match partition_cached(ctx, strategy, space.cache.as_deref(), search) {
+    let design = match certified_solve(ctx, strategy, space.cache.as_deref(), search) {
         Ok(design) => design,
         Err(e) if e.is_infeasible() => {
-            outcome.skipped_infeasible = true;
             outcome.skips.push(SkipReason::Infeasible {
                 strategy: strategy.name(),
                 arch: ctx.arch.name.clone(),
@@ -936,7 +911,6 @@ fn evaluate_spec(
         .partitioning
         .validate(&ctx.graph, &ctx.arch, space.memory_mode);
     if !violations.is_empty() {
-        outcome.skipped_invalid = true;
         outcome.skips.push(SkipReason::Invalid {
             strategy: strategy.name(),
             arch: ctx.arch.name.clone(),
@@ -956,7 +930,6 @@ fn evaluate_spec(
             Err(e) => {
                 let e = FlowError::from(e);
                 if e.is_infeasible() {
-                    outcome.skipped_fission += 1;
                     outcome.skips.push(SkipReason::Fission {
                         strategy: strategy.name(),
                         arch: ctx.arch.name.clone(),
@@ -973,7 +946,7 @@ fn evaluate_spec(
                 outcome.candidates.push(ExploredCandidate {
                     strategy: strategy.name(),
                     arch: ctx.arch.name.clone(),
-                    max_partitions,
+                    max_partitions: cap,
                     rounding,
                     sequencing,
                     workload,
@@ -1050,21 +1023,23 @@ impl<'a> PartitionedFlow<'a> {
         sparcs_audit::audit_design(&self.ctx.graph, &self.ctx.arch, &self.design, mode)
     }
 
-    /// The mandatory certification gate every
-    /// [`FlowSession::partition_with_search`]-family entry point passes
-    /// its stage through: error-class diagnostics (internal inconsistency
-    /// — the strategy lied about its own design) become
-    /// [`FlowError::Certification`]; warnings (architecture feasibility)
-    /// pass through to the existing [`Self::validate`] /
-    /// [`Self::require_valid`] machinery, which decides per call site
-    /// whether a capacity-blind heuristic's oversized design is a skipped
-    /// candidate or an error.
-    fn certified(self, mode: MemoryMode) -> Result<Self, FlowError> {
-        let diags = self.certify(mode);
+    /// The mandatory certification gate of every design a strategy returns
+    /// (see `certified_solve`): error-class diagnostics (the strategy lied
+    /// about its own design) become [`FlowError::Certification`]; warnings
+    /// (architecture feasibility) are left to [`Self::validate`] /
+    /// [`Self::require_valid`], which decide per call site whether a
+    /// capacity-blind heuristic's oversized design is a skipped candidate
+    /// or an error.
+    fn certified(
+        ctx: &DesignContext,
+        design: &PartitionedDesign,
+        mode: MemoryMode,
+    ) -> Result<(), FlowError> {
+        let diags = sparcs_audit::audit_design(&ctx.graph, &ctx.arch, design, mode);
         if sparcs_audit::has_errors(&diags) {
             return Err(FlowError::Certification(diags));
         }
-        Ok(self)
+        Ok(())
     }
 
     /// Checks the partitioning against the architecture.
@@ -1296,7 +1271,11 @@ impl AnalyzedFlow<'_> {
     }
 }
 
-/// The candidate space [`FlowSession::explore`] walks.
+/// The candidate space [`FlowSession::explore`] walks: every strategy of
+/// [`Self::strategies`] on every board of [`Self::architectures`], each
+/// design fanned out over the rounding × sequencing × workload grid. Every
+/// design is certified by the same audit gate as
+/// [`FlowSession::partition_with_search`] before it is ranked.
 pub struct ExploreSpace {
     /// Workloads (total computations `I`) the candidates are ranked for —
     /// one candidate per entry per design point, so a single exploration
@@ -1310,15 +1289,11 @@ pub struct ExploreSpace {
     pub sequencings: Vec<SequencingStrategy>,
     /// Memory mode used to validate candidates.
     pub memory_mode: MemoryMode,
-    /// Whether the built-in exact ILP partitioner is a candidate.
-    pub include_ilp: bool,
-    /// Whether the built-in list heuristic is a candidate.
-    pub include_list: bool,
-    /// Additional built-in candidates named by strategy *spec* (the
-    /// [`crate::strategy::parse_spec`] grammar: `"list+kl"`,
-    /// `"memlist+anneal"`, `"portfolio"`, …), each resolved against
-    /// [`Self::ilp_options`]. Empty by default.
-    pub specs: Vec<String>,
+    /// The partitioning strategies to rank, in candidate order (built-in,
+    /// [`crate::strategy::parse_spec`]-built or any other). Each reports
+    /// its own [`PartitionStrategy::partition_cap`], so a partition-cap
+    /// sweep is one entry per cap (see [`Self::widened`]).
+    pub strategies: Vec<Box<dyn PartitionStrategy>>,
     /// Wall-clock budget for the whole exploration: every candidate's
     /// search shares one deadline fixed when [`FlowSession::explore`]
     /// starts. Cooperative strategies return their best design so far at
@@ -1328,16 +1303,6 @@ pub struct ExploreSpace {
     /// gets is not a pure function of the problem — and are *not*
     /// run-to-run deterministic.
     pub budget: Option<Duration>,
-    /// Extra strategies beyond the built-in ILP + list pair.
-    pub extra_strategies: Vec<Box<dyn PartitionStrategy>>,
-    /// Partitioner options shared by the built-in ILP candidates.
-    pub ilp_options: PartitionOptions,
-    /// Partition-bound caps swept for the built-in ILP candidates: one ILP
-    /// candidate per entry, with `None` meaning "no explicit cap" (the
-    /// [`ExploreSpace::ilp_options`] cap, usually the task count). An empty
-    /// list behaves like `vec![None]`. The cap trades solution quality
-    /// against reconfiguration count — a first-class exploration axis.
-    pub max_partitions: Vec<Option<u32>>,
     /// Target boards to rank across — one full candidate grid per entry, so
     /// a single exploration answers "which board wins for this workload"
     /// (the paper's §4 XC6000 conjecture as an axis). Empty means the
@@ -1352,9 +1317,10 @@ pub struct ExploreSpace {
 }
 
 impl ExploreSpace {
-    /// The default space for a workload: ILP and list partitioners, both
-    /// block roundings, both sequencing strategies, on the session's own
-    /// architecture, cached, with [`default_explore_jobs`] workers.
+    /// The default space for a workload: the exact ILP and the list
+    /// partitioner, both block roundings, both sequencing strategies, on
+    /// the session's own architecture, cached, with
+    /// [`default_explore_jobs`] workers.
     pub fn for_workload(workload: u64) -> Self {
         Self::for_workloads(vec![workload])
     }
@@ -1367,13 +1333,8 @@ impl ExploreSpace {
             roundings: vec![BlockRounding::Exact, BlockRounding::PowerOfTwo],
             sequencings: vec![SequencingStrategy::Fdh, SequencingStrategy::Idh],
             memory_mode: MemoryMode::Net,
-            include_ilp: true,
-            include_list: true,
-            specs: Vec::new(),
+            strategies: vec![Box::new(IlpStrategy::new()), Box::new(ListStrategy::new())],
             budget: None,
-            extra_strategies: Vec::new(),
-            ilp_options: PartitionOptions::default(),
-            max_partitions: vec![None],
             architectures: Vec::new(),
             jobs: default_explore_jobs(),
             cache: Some(Arc::clone(PartitionCache::global())),
@@ -1381,12 +1342,18 @@ impl ExploreSpace {
     }
 
     /// The widened space the ROADMAP asks for: everything
-    /// [`Self::for_workload`] enables *plus* a partition-cap sweep and the
-    /// three preset boards (XC4044/WildForce, the §4 XC6000 conjecture, a
-    /// time-multiplexed device), ranked in one exploration.
+    /// [`Self::for_workload`] enables *plus* a partition-cap sweep (the
+    /// exact ILP uncapped and at caps 2 and 4) and the three preset boards
+    /// (XC4044/WildForce, the §4 XC6000 conjecture, a time-multiplexed
+    /// device), ranked in one exploration.
     pub fn widened(workload: u64) -> Self {
         ExploreSpace {
-            max_partitions: vec![None, Some(2), Some(4)],
+            strategies: vec![
+                capped_ilp(None),
+                capped_ilp(Some(2)),
+                capped_ilp(Some(4)),
+                Box::new(ListStrategy),
+            ],
             architectures: vec![
                 Architecture::xc4044_wildforce(),
                 Architecture::xc6200_fast_reconfig(),
@@ -1395,53 +1362,14 @@ impl ExploreSpace {
             ..Self::for_workload(workload)
         }
     }
+}
 
-    /// The built-in strategies this space enables, each with the partition
-    /// cap it reports under. Exact (ILP-backed) candidates get the
-    /// certified [`sparcs_analyze::critical_path_lb_ns`] bound of `graph`
-    /// injected as their branch-and-bound root bound — the search proves
-    /// optimality the moment an incumbent meets it — unless the space's
-    /// shared options already pinned one. The bound is a pure function of
-    /// the graph, so cache keys and rankings stay deterministic.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Spec`] when an entry of [`Self::specs`] does not
-    /// parse; [`FlowError::Graph`] when `graph` does not validate.
-    fn builtin_strategies(&self, graph: &TaskGraph) -> Result<Vec<BuiltinStrategy>, FlowError> {
-        let mut ilp_options = self.ilp_options.clone();
-        if ilp_options.solve.root_bound.is_none() {
-            let lb = sparcs_analyze::critical_path_lb_ns(graph)?;
-            // cast-ok: u64 ns → f64 objective space; partition delays are
-            // far below 2^53 ns (~104 days), so the conversion is exact.
-            ilp_options.solve.root_bound = Some(lb as f64);
-        }
-        let mut builtins: Vec<BuiltinStrategy> = Vec::new();
-        if self.include_ilp {
-            let caps: &[Option<u32>] = if self.max_partitions.is_empty() {
-                &[None]
-            } else {
-                &self.max_partitions
-            };
-            for &cap in caps {
-                let mut options = ilp_options.clone();
-                // Report the *effective* cap (axis value, else the shared
-                // options cap) so candidates never look uncapped when the
-                // solver was in fact bounded.
-                let effective = cap.or(options.max_partitions);
-                options.max_partitions = effective;
-                builtins.push((Box::new(IlpStrategy::with_options(options)), effective));
-            }
-        }
-        if self.include_list {
-            // The heuristic ignores the cap axis: one candidate.
-            builtins.push((Box::new(ListStrategy::new()), None));
-        }
-        for spec in &self.specs {
-            builtins.push((crate::strategy::parse_spec(spec, &ilp_options)?, None));
-        }
-        Ok(builtins)
-    }
+/// The exact ILP under the partition cap `max_partitions`.
+fn capped_ilp(max_partitions: Option<u32>) -> Box<dyn PartitionStrategy> {
+    Box::new(IlpStrategy::with_options(PartitionOptions {
+        max_partitions,
+        ..PartitionOptions::default()
+    }))
 }
 
 /// The default exploration worker count: the `SPARCS_EXPLORE_JOBS`
@@ -1472,9 +1400,8 @@ pub struct ExploredCandidate {
     pub strategy: String,
     /// Name of the architecture this candidate targets.
     pub arch: String,
-    /// The effective partition-bound cap this candidate was solved under
-    /// (the sweep-axis value, else the space's shared options cap; `None`
-    /// = genuinely uncapped).
+    /// The partition-bound cap this candidate was solved under (its
+    /// strategy's [`PartitionStrategy::partition_cap`]; `None` = uncapped).
     pub max_partitions: Option<u32>,
     /// Block rounding used by the fission analysis.
     pub rounding: BlockRounding,
@@ -1501,28 +1428,43 @@ pub struct ExploredCandidate {
 /// caller can tell "best of everything" from "best of what survived".
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExploreCoverage {
-    /// Partitioning specs attempted (strategy × architecture × cap).
+    /// Partitioning specs attempted (strategy × architecture).
     pub specs: usize,
     /// Specs that contributed at least one ranked candidate.
     pub ranked_specs: usize,
-    /// Specs skipped because the partitioner reported them infeasible.
-    pub skipped_infeasible: usize,
-    /// Specs skipped because the partitioning failed validation against
-    /// the architecture.
-    pub skipped_invalid: usize,
-    /// Specs the [`sparcs_analyze`] pre-pass proved infeasible before any
-    /// solver was launched — the convicting rule id is in [`Self::skips`]
-    /// ([`SkipReason::rule`]).
-    pub skipped_static: usize,
-    /// Per-rounding analyses skipped because the fission analysis found
-    /// the board memory too small.
-    pub skipped_fission: usize,
     /// Why each skip happened, typed ([`SkipReason`]) and ordered by
     /// candidate-spec position (deterministic for any job count); the
     /// `Display` rendering is the familiar
     /// `"<strategy> on <arch>: <reason>"` line, e.g.
     /// `"… boundary 0 stores 51 words > M_max"`.
     pub skips: Vec<SkipReason>,
+}
+
+impl ExploreCoverage {
+    fn count(&self, kind: fn(&SkipReason) -> bool) -> usize {
+        self.skips.iter().filter(|&skip| kind(skip)).count()
+    }
+
+    /// Specs skipped because the partitioner reported them infeasible.
+    pub fn skipped_infeasible(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Infeasible { .. }))
+    }
+
+    /// Specs whose partitioning failed validation against the board.
+    pub fn skipped_invalid(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Invalid { .. }))
+    }
+
+    /// Specs the [`sparcs_analyze`] pre-pass proved infeasible before any
+    /// solver was launched ([`SkipReason::rule`] names the rule).
+    pub fn skipped_static(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Static { .. }))
+    }
+
+    /// Roundings whose fission analysis found the board memory too small.
+    pub fn skipped_fission(&self) -> usize {
+        self.count(|s| matches!(s, SkipReason::Fission { .. }))
+    }
 }
 
 /// Summed [`SolveStats`] over an exploration's distinct designs
@@ -1667,7 +1609,7 @@ mod tests {
     fn explore_space_narrows_every_axis() {
         let s = session();
         let mut space = ExploreSpace::for_workload(10_000);
-        space.include_ilp = false;
+        space.strategies = vec![Box::new(ListStrategy)];
         space.roundings = vec![BlockRounding::PowerOfTwo];
         space.sequencings = vec![SequencingStrategy::Fdh];
         let exploration = s.explore(&space).unwrap();
@@ -1801,10 +1743,10 @@ mod tests {
         // fig4's resource lower bound is 2 partitions; a hard cap of 1 is
         // provably infeasible — the analyzer pre-pass must convict it
         // before any solver launches, counted, not fatal and not silent.
-        space.max_partitions = vec![Some(1), None];
+        space.strategies.insert(0, capped_ilp(Some(1)));
         let exploration = s.explore(&space).unwrap();
-        assert_eq!(exploration.coverage.skipped_static, 1);
-        assert_eq!(exploration.coverage.skipped_infeasible, 0);
+        assert_eq!(exploration.coverage.skipped_static(), 1);
+        assert_eq!(exploration.coverage.skipped_infeasible(), 0);
         assert_eq!(
             exploration.coverage.ranked_specs,
             exploration.coverage.specs - 1
@@ -1831,7 +1773,7 @@ mod tests {
     fn solver_cap_failures_still_count_as_infeasible() {
         // A spec the analyzer cannot convict (cap == the certified lower
         // bound) but the solver proves infeasible anyway must still land in
-        // `skipped_infeasible` with the classic reason line — the static
+        // `skipped_infeasible()` with the classic reason line — the static
         // pre-pass narrows the solver's work, never rewrites its verdicts.
         use sparcs_dfg::Resources;
         // Two independent 700-CLB tasks + a 700-CLB sink: area bound says
@@ -1847,15 +1789,14 @@ mod tests {
         arch.resources = Resources::clbs(1200);
         let s = FlowSession::new(g, arch);
         let mut space = ExploreSpace::for_workload(10_000);
-        space.include_list = false;
-        space.max_partitions = vec![Some(2)];
+        space.strategies = vec![capped_ilp(Some(2))];
         let err = s.explore(&space).unwrap_err();
         assert!(matches!(err, FlowError::NoFeasibleCandidate));
         // With an uncapped sibling the capped spec's skip is recorded.
-        space.max_partitions = vec![Some(2), None];
+        space.strategies.push(Box::new(IlpStrategy::new()));
         let exploration = s.explore(&space).unwrap();
-        assert_eq!(exploration.coverage.skipped_infeasible, 1);
-        assert_eq!(exploration.coverage.skipped_static, 0);
+        assert_eq!(exploration.coverage.skipped_infeasible(), 1);
+        assert_eq!(exploration.coverage.skipped_static(), 0);
         let line = exploration.coverage.skips[0].to_string();
         assert!(line.contains("no feasible partitioning"), "{line}");
     }
@@ -1879,9 +1820,44 @@ mod tests {
     fn hard_errors_propagate_instead_of_being_swallowed() {
         let s = session();
         let mut space = ExploreSpace::for_workload(10_000);
-        space.extra_strategies = vec![Box::new(BrokenStrategy)];
+        space.strategies.push(Box::new(BrokenStrategy));
         let err = s.explore(&space).unwrap_err();
         assert!(matches!(err, FlowError::Graph(GraphError::Cycle(_))));
+        assert!(!err.is_infeasible());
+    }
+
+    /// Returns the list design with its latency and delay sum each
+    /// under-reported by 1 ns — a strategy lying about its own design.
+    struct UnderReportingStrategy;
+    impl PartitionStrategy for UnderReportingStrategy {
+        fn name(&self) -> String {
+            "under-reporting".into()
+        }
+        fn partition(
+            &self,
+            ctx: &DesignContext,
+            search: &SearchCtx,
+        ) -> Result<PartitionedDesign, FlowError> {
+            let mut design = ListStrategy.partition(ctx, search)?;
+            design.latency_ns -= 1;
+            design.sum_delay_ns -= 1;
+            Ok(design)
+        }
+    }
+
+    #[test]
+    fn explore_certifies_every_design_it_ranks() {
+        let s = session();
+        assert!(matches!(
+            s.partition_with(&UnderReportingStrategy),
+            Err(FlowError::Certification(_))
+        ));
+        let mut space = ExploreSpace::for_workload(10_000);
+        space.strategies.push(Box::new(UnderReportingStrategy));
+        let Err(err) = s.explore(&space) else {
+            panic!("explore ranked an under-reported design");
+        };
+        assert!(matches!(err, FlowError::Certification(_)), "{err}");
         assert!(!err.is_infeasible());
     }
 
@@ -1908,17 +1884,13 @@ mod tests {
     fn invalid_designs_are_counted_not_ranked() {
         let s = session();
         let mut space = ExploreSpace::for_workload(10_000);
-        space.include_ilp = false;
-        space.include_list = false;
-        space.extra_strategies = vec![Box::new(OnePartitionStrategy)];
+        space.strategies = vec![Box::new(OnePartitionStrategy)];
         let err = s.explore(&space).unwrap_err();
         assert!(matches!(err, FlowError::NoFeasibleCandidate));
         // With a feasible sibling the invalid spec is recorded in coverage.
-        let mut space = ExploreSpace::for_workload(10_000);
-        space.include_list = false;
-        space.extra_strategies = vec![Box::new(OnePartitionStrategy)];
+        space.strategies.insert(0, Box::new(IlpStrategy::new()));
         let exploration = s.explore(&space).unwrap();
-        assert_eq!(exploration.coverage.skipped_invalid, 1);
+        assert_eq!(exploration.coverage.skipped_invalid(), 1);
         assert!(exploration.candidates.iter().all(|c| c.strategy == "ilp"));
         // The skip names the strategy and the violated constraint.
         assert_eq!(exploration.coverage.skips.len(), 1);

@@ -14,7 +14,7 @@ use sparcs::core::{IlpPartitioner, PartitionError, PartitionOptions};
 use sparcs::dfg::gen::{layered, LayeredConfig};
 use sparcs::dfg::Resources;
 use sparcs::estimate::Architecture;
-use sparcs::flow::{ExploreSpace, FlowSession};
+use sparcs::flow::{ExploreSpace, FlowSession, IlpStrategy, PartitionStrategy};
 use sparcs::jpeg::{dct_task_graph, EstimateBackend};
 
 fn small_graph_strategy() -> impl Strategy<Value = sparcs::dfg::TaskGraph> {
@@ -129,16 +129,22 @@ fn widened_dct_explore_statically_prunes_only_infeasible_caps() {
     let session = FlowSession::new(dct.graph.clone(), board.clone());
 
     let mut space = ExploreSpace::for_workload(4096);
-    space.include_list = false;
-    space.max_partitions = vec![Some(2), Some(4)];
+    space.strategies = [2, 4]
+        .map(|cap| -> Box<dyn PartitionStrategy> {
+            Box::new(IlpStrategy::with_options(PartitionOptions {
+                max_partitions: Some(cap),
+                ..PartitionOptions::default()
+            }))
+        })
+        .into();
     let exploration = session.explore(&space).expect("the cap-4 half is feasible");
 
     assert!(
-        exploration.coverage.skipped_static >= 1,
+        exploration.coverage.skipped_static() >= 1,
         "the cap-2 spec must be pruned statically: {:?}",
         exploration.coverage
     );
-    assert_eq!(exploration.coverage.skipped_infeasible, 0);
+    assert_eq!(exploration.coverage.skipped_infeasible(), 0);
     let static_rules: Vec<_> = exploration
         .coverage
         .skips

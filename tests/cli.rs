@@ -482,3 +482,25 @@ coverage: 2/2 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 0 static
         )
     );
 }
+
+#[test]
+fn explore_sweeps_caps_for_any_partitioner() {
+    // A composed spec takes a whole --max-partitions sweep, one candidate
+    // per cap, and its rows report the cap it was solved under.
+    let narrow = ["--pow2", "--strategy", "idh"];
+    assert_eq!(
+        explore_table(&[&["--partitioner", "ilp+kl", "--max-partitions", "1,3"], &narrow[..]].concat()),
+        "\
+1       1000000      ilp+kl XC4044/WildForce    pow2  IDH    2    3    16384     200000700       0.9160
+coverage: 1/2 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 1 static-pruned)
+  skipped: ilp+kl on XC4044/WildForce: statically pruned [partition-count-bound]: partition-count lower bound 2 exceeds the cap 1"
+    );
+    // A spec the cap does not configure renders the same identity at every
+    // cap and stays one candidate.
+    assert_eq!(
+        explore_table(&[&["--partitioner", "list+kl", "--max-partitions", "2,4"], &narrow[..]].concat()),
+        "\
+1       1000000     list+kl XC4044/WildForce    pow2  IDH    2    -    16384     200000700       0.9160
+coverage: 1/1 specs ranked (0 infeasible, 0 invalid, 0 fission-skipped, 0 static-pruned)"
+    );
+}

@@ -8,7 +8,7 @@ use sparcs::core::partitioning::MemoryMode;
 use sparcs::core::search::{CancelToken, SearchCtx};
 use sparcs::core::PartitionOptions;
 use sparcs::estimate::Architecture;
-use sparcs::flow::{ExploreSpace, FlowSession, IlpStrategy};
+use sparcs::flow::{ExploreSpace, FlowSession, IlpStrategy, ListStrategy};
 use sparcs::jpeg::{dct_task_graph, EstimateBackend};
 use sparcs::strategy::{parse_spec, Portfolio};
 use std::time::{Duration, Instant};
@@ -128,8 +128,9 @@ fn refined_specs_rank_deterministically_and_beat_their_seed() {
 
     let space = |jobs: u32| {
         let mut space = ExploreSpace::for_workload(10_000);
-        space.ilp_options = options.clone();
-        space.specs = vec!["list+kl".into(), "list+anneal".into(), "memlist".into()];
+        space.strategies = ["ilp", "list", "list+kl", "list+anneal", "memlist"]
+            .map(|spec| parse_spec(spec, &options).unwrap())
+            .into();
         space.jobs = jobs;
         space.cache = None;
         space
@@ -157,7 +158,10 @@ fn budgeted_explore_bypasses_the_cache_and_still_ranks() {
     let (session, options) = dct_problem();
     let cache = Arc::new(PartitionCache::new());
     let mut space = ExploreSpace::for_workload(10_000);
-    space.ilp_options = options;
+    space.strategies = vec![
+        Box::new(IlpStrategy::with_options(options)),
+        Box::new(ListStrategy),
+    ];
     space.budget = Some(Duration::from_secs(3600)); // generous: everything finishes
     space.cache = Some(Arc::clone(&cache));
     let exploration = session.explore(&space).unwrap();
